@@ -58,6 +58,17 @@ def generated_fan(d, steps, rng):
     return relabel(rays, cones, rng)
 
 
+# Seed of the stream that fixes the shapes of generated fans.  The workload
+# seed only relabels them, so every run does work of the same shapes.
+SHAPE_SEED = 0
+
+
+def fixed_shape(d, steps, *labels):
+    """P^d+steps drawn from the stream `labels` under SHAPE_SEED: the same
+    fan in every run, to be relabelled from the workload seed."""
+    return generated_fan(d, steps, seeded_rng(SHAPE_SEED, "shape", *labels))
+
+
 def fan_text(rays, cones, comment):
     lines = ["# " + comment, "dim %d" % len(rays[0]), "rays %d" % len(rays)]
     lines += [" ".join(map(str, r)) for r in rays]

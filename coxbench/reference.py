@@ -143,16 +143,29 @@ def _box_bounds(rays, a):
     d = len(rays[0])
     lo = [None] * d
     hi = [None] * d
-    for subset in combinations(range(len(rays)), d):
-        inv = _inverse([rays[i] for i in subset])
-        if inv is None:
-            continue
-        for cs in product(*((-a[i], -a[i] - 1) for i in subset)):
-            m = [sum(inv[j][k] * cs[k] for k in range(d)) for j in range(d)]
-            for j in range(d):
-                lo[j] = m[j] if lo[j] is None or m[j] < lo[j] else lo[j]
-                hi[j] = m[j] if hi[j] is None or m[j] > hi[j] else hi[j]
+    for subset, inv in _bases(rays):
+        for j in range(d):
+            # m_j = sum_k inv[j][k] c_k is a sum of terms in separate c_k, so
+            # over the 2^d choices of c its extremes take each term at its own
+            terms = [(inv[j][k] * -a[i], inv[j][k] * (-a[i] - 1)) for k, i in enumerate(subset)]
+            low, high = sum(min(t) for t in terms), sum(max(t) for t in terms)
+            lo[j] = low if lo[j] is None or low < lo[j] else lo[j]
+            hi[j] = high if hi[j] is None or high > hi[j] else hi[j]
     return [ceil(x) for x in lo], [floor(x) for x in hi]
+
+
+_BASES = {}
+
+
+def _bases(rays):
+    """[(subset, inverse)] for every d-subset of the rays that is a basis of
+    Q^d; it does not depend on the divisor, so it is computed once per fan."""
+    key = tuple(map(tuple, rays))
+    if key not in _BASES:
+        d = len(rays[0])
+        subsets = [(s, _inverse([rays[i] for i in s])) for s in combinations(range(len(rays)), d)]
+        _BASES[key] = [(s, inv) for s, inv in subsets if inv is not None]
+    return _BASES[key]
 
 
 def _inverse(rows):

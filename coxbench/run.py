@@ -13,11 +13,12 @@ works from the fan's rays and cones alone.
 
 --trace 0 prints the end-to-end metrics.  Set-up time is the median over
 fresh processes (SETUPS): all but the last only set up, the last then
-runs the operations.  --trace 1 runs the operations twice in fresh processes
-with the same seed and rounds, once plain and once with every traced
-function wrapped (layertrace.py), and prints the per-layer self times and
-counts with the tracing overhead.  The last line of stdout is the result
-as one JSON object; a fuller record goes to coxbench/results/.
+runs the operations.  --trace 1 runs the operations of half as many
+seconds twice in fresh processes with the same seed and rounds, once plain
+and once with every traced function wrapped (layertrace.py), and prints
+the per-layer self times and counts with the tracing overhead.  The last
+line of stdout is the result as one JSON object; a fuller record goes to
+coxbench/results/.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import reference  # noqa: E402
 WORKLOADS = ("cold-fans", "degree-queries", "ext-oracle")
 # set-ups per --trace 0 run, the last one in the process that runs the
 # operations; more where a set-up is a fraction of a second and noisy
-SETUPS = {"cold-fans": 7, "degree-queries": 3, "ext-oracle": 7}
+SETUPS = {"cold-fans": 5, "degree-queries": 3, "ext-oracle": 5}
 RUN_LIMIT_S = 170  # all child processes of one run end within this
 
 
@@ -143,7 +144,9 @@ def main():
     child = (deadline, args.workload, args.seed, args.seconds)
     try:
         if args.trace:
-            runs = [run_child(*child, "run"), run_child(*child, "run", trace=1)]
+            # half the seconds in each process, so the pair takes about as long as a plain run
+            half = (deadline, args.workload, args.seed, args.seconds / 2)
+            runs = [run_child(*half, "run"), run_child(*half, "run", trace=1)]
         else:
             setups = [run_child(*child, "setup")["setup_s"] for _ in range(SETUPS[args.workload] - 1)]
             runs = [run_child(*child, "run")]
