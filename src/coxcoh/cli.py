@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 
 from .fan import FanError, irrelevant_generators, parse_fan, validate_fan
 from .grading import GradingError, UnboundedRegionError
@@ -29,6 +30,23 @@ DOMAIN_ERRORS = (
     OSError,
     ValueError,
 )
+
+
+# rank_mod_p multiplies two residues in int64, so p^2 must stay below 2^63
+MODP_LIMIT = 3 * 10**9
+
+
+def _modp_prime(text):
+    """argparse type for --modp: a prime p with 2 <= p < MODP_LIMIT."""
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not an integer" % text) from None
+    if not 2 <= p < MODP_LIMIT or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError(
+            "%d is not a prime in [2, %d)" % (p, MODP_LIMIT)
+        )
+    return p
 
 
 def build_parser():
@@ -55,7 +73,7 @@ def build_parser():
 
     p = sub.add_parser("cohomology-u", help="cohomology cones of the punctured affine cone")
     add_common(p)
-    p.add_argument("--modp", type=int, default=None, help="rank backend prime (non-exact)")
+    p.add_argument("--modp", type=_modp_prime, default=None, help="rank backend prime (non-exact)")
     p.add_argument("--skip-sampling", action="store_true")
 
     p = sub.add_parser("sheaf", help="twisting sheaf cohomology dimensions per degree")
@@ -67,7 +85,7 @@ def build_parser():
         "(write --degree=-3;0 when the value starts with a dash)",
     )
     p.add_argument("--p", type=int, default=None, help="single cohomological index")
-    p.add_argument("--modp", type=int, default=None)
+    p.add_argument("--modp", type=_modp_prime, default=None)
 
     p = sub.add_parser("ext-oracle", help="finite-stage Ext oracle Hilbert table")
     add_common(p)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import ceil, floor
+from math import gcd
+from operator import mul
 
-from .linalg import nullspace_rational, solve_rational
+from .linalg import solve_rational
 from .snf import mat_vec, smith_normal_form
 
 
@@ -86,6 +86,8 @@ class GradingGroup:
             list(u[r]) for r in self._torsion_rows
         ]
         self.ray_matrix = ray_matrix
+        self._fibrations = {}  # sorted pattern -> _Fibration
+        self._rows = {}  # one shared copy of each row the fibrations hold
 
     # -- degree map ---------------------------------------------------
     def degree_of(self, exponents):
@@ -123,7 +125,45 @@ class GradingGroup:
             y[r] = alpha.torsion[j]
         return mat_vec(self._uinv, y)
 
-    # -- enumeration ----------------------------------------------------
+    # -- lattice points of a sign-pattern region -------------------------
+    def _fibration(self, pattern):
+        """The pattern's cached _Fibration; built once, from the pattern alone."""
+        key = pattern.as_sorted()
+        fib = self._fibrations.get(key)
+        if fib is None:
+            bad = [i for i in key if not 1 <= i <= self.n]
+            if bad:
+                raise GradingError("pattern indices out of range: %s" % bad)
+            fib = _Fibration(self._kernel_basis, key, self.dim, self._rows.setdefault)
+            # concurrent builders make equal values; setdefault keeps one
+            fib = self._fibrations.setdefault(key, fib)
+        return fib
+
+    def _region(self, alpha, pattern):
+        """The particular solution a0 of alpha and the pattern's levels bound
+        to it (None when the region is visibly empty)."""
+        alpha = alpha.reduced(self.torsion)
+        fib = self._fibration(pattern)
+        if not fib.bounded:
+            raise UnboundedRegionError(
+                "degree region for %s with pattern %s is unbounded"
+                % (alpha, sorted(pattern.negative))
+            )
+        a0 = self._particular_solution(alpha)
+        return a0, fib.bind(a0, pattern.negative)
+
+    def count_degrees(self, alpha, pattern):
+        """Number of exponent vectors that enumerate_degrees would return,
+        counted without materialising them.
+
+        Raises UnboundedRegionError when the region is an unbounded
+        polyhedron.
+        """
+        _, levels = self._region(alpha, pattern)
+        if levels is None:
+            return 0
+        return sum(hi - lo + 1 for _, lo, hi in _fibres(levels))
+
     def enumerate_degrees(self, alpha, pattern):
         """All exponent vectors of degree alpha whose negative support is
         exactly pattern.negative (strictly negative there, >= 0 elsewhere).
@@ -131,73 +171,127 @@ class GradingGroup:
         Raises UnboundedRegionError when the region is an unbounded
         polyhedron.  Output is sorted lexicographically.
         """
-        alpha = alpha.reduced(self.torsion)
-        neg = pattern.negative
-        bad = [i for i in neg if not 1 <= i <= self.n]
-        if bad:
-            raise GradingError("pattern indices out of range: %s" % bad)
-        a0 = self._particular_solution(alpha)
-        d = self.dim
-        kb = self._kernel_basis  # n x d
-        # constraints A t >= c in the d-dimensional kernel-lattice coordinates
-        a_rows, c_vals = [], []
-        for i in range(self.n):
-            if (i + 1) in neg:
-                a_rows.append([-kb[i][j] for j in range(d)])
-                c_vals.append(1 + a0[i])
-            else:
-                a_rows.append(list(kb[i]))
-                c_vals.append(-a0[i])
-
-        # recession cone {A t >= 0} must be trivial, else unbounded
-        for subset in combinations(range(self.n), d - 1):
-            rows = [a_rows[i] for i in subset]
-            for direction in nullspace_rational(rows, d):
-                if all(x == 0 for x in direction):
-                    continue
-                for sgn in (1, -1):
-                    cand = [sgn * x for x in direction]
-                    if all(
-                        sum(a_rows[i][j] * cand[j] for j in range(d)) >= 0
-                        for i in range(self.n)
-                    ):
-                        raise UnboundedRegionError(
-                            "degree region for %s with pattern %s is unbounded"
-                            % (alpha, sorted(neg))
-                        )
-
-        # vertices of the polyhedron from d-subsets of active constraints
-        lo = [None] * d
-        hi = [None] * d
-        feasible_vertex = False
-        for subset in combinations(range(self.n), d):
-            rows = [a_rows[i] for i in subset]
-            rhs = [c_vals[i] for i in subset]
-            sol = solve_rational(rows, rhs)
-            if sol is None:
-                continue
-            if all(
-                sum(a_rows[i][j] * sol[j] for j in range(d)) >= c_vals[i]
-                for i in range(self.n)
-            ):
-                feasible_vertex = True
-                for j in range(d):
-                    lo[j] = sol[j] if lo[j] is None or sol[j] < lo[j] else lo[j]
-                    hi[j] = sol[j] if hi[j] is None or sol[j] > hi[j] else hi[j]
-        if not feasible_vertex:
+        a0, levels = self._region(alpha, pattern)
+        if levels is None:
             return []
-        ranges = [range(ceil(lo[j]), floor(hi[j]) + 1) for j in range(d)]
+        kb = self._kernel_basis
+        last = [row[-1] for row in kb]
         out = []
-        stack = [[]]
-        for rng in ranges:
-            stack = [t + [val] for t in stack for val in rng]
-        for t in stack:
-            if all(
-                sum(a_rows[i][j] * t[j] for j in range(d)) >= c_vals[i]
-                for i in range(self.n)
-            ):
-                out.append(tuple(a0[i] + sum(kb[i][j] * t[j] for j in range(d)) for i in range(self.n)))
+        for prefix, lo, hi in _fibres(levels):
+            base = [a + sum(map(mul, row, prefix)) for a, row in zip(a0, kb)]
+            for t in range(lo, hi + 1):
+                out.append(tuple(b + k * t for b, k in zip(base, last)))
         return sorted(out)
+
+
+class _Fibration:
+    """Integer Fourier-Motzkin description of one sign-pattern region.
+
+    The region is {t in Z^d : A t >= c}, where row i of A is the kernel-basis
+    row i, negated when i is in the pattern, and c depends on the degree:
+    c_i = 1 + a0_i there and -a0_i elsewhere, for a particular solution a0.
+    Eliminating t_{d-1}, ..., t_1 in turn gives levels L_{d-1} = A, ..., L_0;
+    L_k holds the rows in t_0..t_k that describe the exact projection of the
+    polyhedron onto those coordinates.  Every derived row is a nonnegative
+    integer combination lam of the rows of A, so for any c its right-hand
+    side is lam . c (Schrijver, Theory of Linear and Integer Programming,
+    12.2).  Rows whose history has more than e + 1 original rows after e
+    eliminations are redundant for every c (Kohler's rule) and are dropped.
+    A row left with no coefficients is a condition 0 >= lam . c; one that
+    fails shows the region empty before any walking.
+
+    A projection is bounded iff its recession cone is, so the region is
+    bounded iff every level has rows of both signs on its own coordinate.
+    """
+
+    __slots__ = ("levels", "conditions", "bounded")
+
+    def __init__(self, kernel_basis, negative, d, intern):
+        """Patterns of one grading share most rows; `intern` (a dict's
+        setdefault) stores each of them once."""
+        n = len(kernel_basis)
+        rows = {}  # (coefficients on t, multipliers on the rows of A)
+        for i, krow in enumerate(kernel_basis):
+            coef = tuple(-x for x in krow) if i + 1 in negative else tuple(krow)
+            _add_row(rows, intern, coef, tuple(int(j == i) for j in range(n)))
+        conditions = {}  # multipliers of rows 0 >= lam . c, all of t eliminated
+        levels = [None] * d
+        for k in range(d - 1, -1, -1):
+            lower = tuple(row for row in rows if row[0][k] > 0)
+            upper = tuple(row for row in rows if row[0][k] < 0)
+            levels[k] = (lower, upper)
+            nxt = {row: None for row in rows if row[0][k] == 0}
+            limit = d - k + 1  # history bound after d - k eliminations
+            for pc, plam in lower:
+                for qc, qlam in upper:
+                    u, v = -qc[k], pc[k]
+                    lam = tuple(u * a + v * b for a, b in zip(plam, qlam))
+                    if n - lam.count(0) <= limit:
+                        _add_row(nxt, intern, tuple(u * a + v * b for a, b in zip(pc, qc)), lam)
+            rows = {}
+            for row in nxt:
+                if any(row[0]):
+                    rows[row] = None
+                else:
+                    conditions[row[1]] = None
+        self.conditions = tuple(conditions)
+        self.levels = tuple(levels)
+        self.bounded = all(lower and upper for lower, upper in levels)
+
+    def bind(self, a0, negative):
+        """Per-level (lower, upper) rows (a_k, coefficients, rhs) for the
+        degree with particular solution a0, each row meaning
+        coefficients . t >= rhs; None if some derived condition already
+        shows the region empty."""
+        c = [-a for a in a0]
+        for i in negative:
+            c[i - 1] = 1 + a0[i - 1]
+        if any(sum(map(mul, lam, c)) > 0 for lam in self.conditions):
+            return None
+        return [
+            tuple([(coef[k], coef, sum(map(mul, lam, c))) for coef, lam in side] for side in level)
+            for k, level in enumerate(self.levels)
+        ]
+
+
+def _add_row(rows, intern, coef, lam):
+    """Insert a row divided by the gcd of its coefficients and multipliers."""
+    g = gcd(*coef, *lam)
+    if g > 1:
+        coef = tuple(x // g for x in coef)
+        lam = tuple(m // g for m in lam)
+    row = (coef, lam)
+    rows[intern(row, row)] = None
+
+
+def _fibres(levels):
+    """Walk the integer points of the bound levels: yields (t_0..t_{d-2},
+    lo, hi) for every prefix whose innermost interval lo <= t_{d-1} <= hi is
+    nonempty."""
+    d = len(levels)
+
+    def interval(k, prefix):
+        lower, upper = levels[k]
+        # map stops with the prefix, so coefficients on t_k.. are not summed
+        lo = max(-((sum(map(mul, coef, prefix)) - r) // a) for a, coef, r in lower)
+        hi = min((r - sum(map(mul, coef, prefix))) // a for a, coef, r in upper)
+        return lo, hi
+
+    def walk(prefix):
+        k = len(prefix)
+        lo, hi = interval(k, prefix)
+        if lo > hi:
+            return
+        if k == d - 1:
+            yield tuple(prefix), lo, hi
+            return
+        prefix.append(lo)
+        for t in range(lo, hi + 1):
+            prefix[-1] = t
+            yield from walk(prefix)
+        prefix.pop()
+
+    yield from walk([])
 
 
 def grading_group(fan):

@@ -325,6 +325,6 @@ def component_dimension(grading, alpha):
     raises UnboundedRegionError if that region is unbounded (impossible for
     a valid complete fan, checked defensively).
     """
-    from .grading import SignPattern, enumerate_degrees
+    from .grading import SignPattern
 
-    return len(enumerate_degrees(grading, alpha, SignPattern(frozenset())))
+    return grading.count_degrees(alpha, SignPattern())

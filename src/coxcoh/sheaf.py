@@ -61,9 +61,15 @@ ERRATUM_NOTE = (
 
 def cohomology_of_U(fan, method="auto", modp=None, validate=True, skip_sampling=False):
     """Cohomology of the punctured cone over the toric variety, reported as
-    sign-pattern cones with multiplicities (no per-degree table)."""
+    sign-pattern cones with multiplicities (no per-degree table).
+
+    Raises FanError when the fan fails validation or when h^p(O) is nonzero
+    or unbounded for some p > 0, which no complete fan allows."""
+    # only fully validated reports are cached, so a cached report never
+    # lets a later call skip a check it asked for
     cache = _fan_cache.setdefault(_fan_key(fan), {})
-    cached = cache.get(("report", method, modp))
+    key = ("report", method, modp)
+    cached = cache.get(key)
     if cached is not None:
         return cached
     if validate:
@@ -119,13 +125,13 @@ def cohomology_of_U(fan, method="auto", modp=None, validate=True, skip_sampling=
         if d:
             bad.append((p, d))
     if bad:
-        notes.append(
-            "degree-0 consistency check FAILED: nonzero h^p(O) at %s; this "
-            "indicates an internal inconsistency" % (bad,)
+        raise FanError(
+            "degree-0 consistency check failed: h^p(O) is nonzero or unbounded at "
+            "(p, h^p) = %s, which cannot happen on a complete fan" % (bad,)
         )
-    else:
-        notes.append("degree-0 consistency check passed: h^p(O) = 0 for p = 1..%d" % n)
-    cache[("report", method, modp)] = report
+    notes.append("degree-0 consistency check passed: h^p(O) = 0 for p = 1..%d" % n)
+    if validate and not skip_sampling:
+        cache[key] = report
     return report
 
 
@@ -141,7 +147,7 @@ def sheaf_cohomology_dim(fan, alpha, p, report=None, method="auto", modp=None):
     if p == 0:
         total += component_dimension(grading, alpha)
     for pat, mult in report.cones_at(p):
-        total += mult * len(grading.enumerate_degrees(alpha, SignPattern(pat)))
+        total += mult * grading.count_degrees(alpha, SignPattern(pat))
     return total
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from coxcoh.cli import main
 
-from conftest import FANS_DIR
+from conftest import FANS_DIR, PSEUDO_FAN_TEXT
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +123,32 @@ def test_modp_flag_marks_inexact(capsys):
     doc = json.loads(out)
     assert doc["exact"] is False
     assert doc["patterns"] == [{"negative": [1, 2, 3], "p": 2, "mult": 1}]
+
+
+@pytest.mark.parametrize("value", ["0", "1", "4", "3000000019"])
+def test_modp_not_a_usable_prime_is_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology-u", str(FANS_DIR / "p2.fan"), "--modp", value, "--json"])
+    assert exc.value.code == 2
+    assert "not a prime" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["sheaf", str(FANS_DIR / "p2.fan"), "--degree=-3", "--modp", value])
+    assert exc.value.code == 2
+
+
+def test_modp_small_prime_accepted(capsys):
+    code, out, _ = run_cli(capsys, "cohomology-u", str(FANS_DIR / "p2.fan"), "--modp", "101", "--json")
+    assert code == 0
+    assert json.loads(out)["patterns"] == [{"negative": [1, 2, 3], "p": 2, "mult": 1}]
+
+
+def test_pseudo_fan_cohomology_u_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "pseudo.fan"
+    path.write_text(PSEUDO_FAN_TEXT)
+    code, out, err = run_cli(capsys, "cohomology-u", str(path), "--json")
+    assert code == 1
+    assert out == ""
+    assert "degree-0 consistency check failed" in err
 
 
 def test_modp_on_oversized_fan_fails_fast(capsys):

@@ -10,7 +10,16 @@ from coxcoh.grading import (
     grading_group,
     match_degree_basis,
 )
-from conftest import FANO7_DEGREES, FANO8_DEGREES, PublishedBasis
+from coxcoh.fan import Fan, parse_fan
+from conftest import (
+    FANO7_DEGREES,
+    FANO8_DEGREES,
+    FANS_DIR,
+    TORSION_FAN_TEXT,
+    PublishedBasis,
+    box_oracle,
+    literal_bounded,
+)
 
 
 def brute_force_degrees(grading, alpha, negative, radius):
@@ -159,6 +168,60 @@ def test_enumeration_deterministic(fano7_fan, fano7_basis):
     first = g.enumerate_degrees(alpha, SignPattern())
     second = g.enumerate_degrees(alpha, SignPattern())
     assert first == second == sorted(first)
+
+
+@pytest.mark.parametrize(
+    "name", ["p1", "p2", "p112", "blowup_p11336", "blowup_p112236", "torsion"]
+)
+def test_count_matches_enumeration_and_box_oracle(name):
+    if name == "torsion":
+        fan = parse_fan(TORSION_FAN_TEXT)
+    else:
+        fan = parse_fan((FANS_DIR / (name + ".fan")).read_text())
+    g = grading_group(fan)
+    rng = random.Random(name)
+    checked = 0
+    for _ in range(8):
+        a = [rng.randint(-2, 2) for _ in range(g.n)]
+        alpha = g.degree_of(a)
+        own = frozenset(i + 1 for i, v in enumerate(a) if v < 0)
+        for negative in (own, frozenset(), frozenset(range(1, g.n + 1))):
+            pattern = SignPattern(negative)
+            if not literal_bounded(g, negative):
+                with pytest.raises(UnboundedRegionError):
+                    g.count_degrees(alpha, pattern)
+                with pytest.raises(UnboundedRegionError):
+                    g.enumerate_degrees(alpha, pattern)
+                continue
+            points = g.enumerate_degrees(alpha, pattern)
+            assert points == box_oracle(g, alpha, negative)
+            assert g.count_degrees(alpha, pattern) == len(points)
+            if negative == own:
+                assert tuple(a) in points
+            checked += 1
+    assert checked >= 8
+
+
+def test_torsion_fan_regions_all_unbounded():
+    # rays (2,1) and (0,1) with one cone: not complete, so no region is bounded
+    fan = Fan(dim=2, rays=((2, 1), (0, 1)), max_cones=((1, 2),))
+    g = grading_group(fan)
+    for residue in (0, 1):
+        alpha = g.class_from_free([], [residue])
+        for negative in ((), (1,), (2,), (1, 2)):
+            assert not literal_bounded(g, frozenset(negative))
+            with pytest.raises(UnboundedRegionError):
+                g.count_degrees(alpha, SignPattern(negative))
+            with pytest.raises(UnboundedRegionError):
+                g.enumerate_degrees(alpha, SignPattern(negative))
+
+
+@pytest.mark.parametrize("name", ["p2_fan", "fano7_fan", "fano8_fan"])
+def test_boundedness_verdict_matches_recession_cone(name, request):
+    g = grading_group(request.getfixturevalue(name))
+    for mask in range(1 << g.n):
+        negative = frozenset(i + 1 for i in range(g.n) if mask >> i & 1)
+        assert g._fibration(SignPattern(negative)).bounded == literal_bounded(g, negative), negative
 
 
 def test_weighted_projective_torsion_free(p112_fan):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from coxcoh import grading
 from coxcoh.fan import FanError, parse_fan
+from coxcoh.fans import projective_space_fan
 from coxcoh.grading import SignPattern
-from coxcoh.ring import component_dimension
 from coxcoh.sheaf import (
     cohomology_of_U,
     cohomology_table,
@@ -12,6 +13,8 @@ from coxcoh.sheaf import (
     report_to_json,
     sheaf_cohomology_dim,
 )
+
+from conftest import PSEUDO_FAN_TEXT, TORSION_FAN_TEXT, box_oracle
 
 
 def test_p2_report(p2_fan):
@@ -77,13 +80,19 @@ def test_fano7_degree_and_zero(fano7_fan, fano7_basis):
 
 
 def test_serre_h0_consistency(fano7_fan, p2_fan):
+    # h^0 of O(alpha) is the number of monomials of degree alpha, here found
+    # by the test-only box scan rather than by the counting route
     rng = random.Random(17)
     for fan in (p2_fan, fano7_fan):
         g = fan_grading(fan)
+        assert cohomology_of_U(fan).cones_at(0) == []
         for _ in range(40):
             a = [rng.randint(-3, 3) for _ in range(g.n)]
             alpha = g.degree_of(a)
-            assert sheaf_cohomology_dim(fan, alpha, 0) == component_dimension(g, alpha)
+            expected = len(box_oracle(g, alpha, frozenset()))
+            assert sheaf_cohomology_dim(fan, alpha, 0) == expected
+            if all(v >= 0 for v in a):
+                assert expected >= 1
 
 
 def test_pushforward_double_count(p2_fan):
@@ -134,3 +143,58 @@ def test_finiteness_on_random_degrees(fano8_fan):
         for p in range(0, 6):
             d = sheaf_cohomology_dim(fano8_fan, alpha, p, report=rep)
             assert d >= 0
+
+
+def test_cohomology_dim_never_materialises_points(monkeypatch, fano8_fan):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_degrees called on the counting route")
+
+    monkeypatch.setattr(grading.GradingGroup, "enumerate_degrees", refuse)
+    monkeypatch.setattr(grading, "enumerate_degrees", refuse)
+    # a fan new to the process also runs the degree-0 check under the patch
+    p3 = projective_space_fan(3)
+    rep = cohomology_of_U(p3)
+    g = fan_grading(p3)
+    one = g.variable_degrees()[0].free[0]
+    assert sheaf_cohomology_dim(p3, g.class_from_free([-5 * one]), 3, report=rep) == 4
+    g8 = fan_grading(fano8_fan)
+    rep8 = cohomology_of_U(fano8_fan)
+    for p in range(fano8_fan.n_rays + 1):
+        assert sheaf_cohomology_dim(fano8_fan, g8.class_from_free([1, 1, 1]), p, report=rep8) >= 0
+
+
+def test_fano8_large_class_pinned(fano8_fan):
+    # class (0, 6, -15) in the Smith basis; materialising its points took
+    # seconds and hundreds of megabytes, counting them takes a fraction of
+    # a second
+    g = fan_grading(fano8_fan)
+    alpha = g.class_from_free([0, 6, -15])
+    rep = cohomology_table(fano8_fan, [alpha])
+    assert [e["dim"] for e in rep.per_degree] == [0, 0, 17511, 0, 0, 0, 0, 0, 0]
+
+
+def test_torsion_fan_dimensions():
+    # grading group Z + Z/2; h^0 and h^2 count monomials and their duals
+    fan = parse_fan(TORSION_FAN_TEXT)
+    g = fan_grading(fan)
+    for k in range(-6, 7):
+        for residue in (0, 1):
+            alpha = g.class_from_free([k], [residue])
+            assert sheaf_cohomology_dim(fan, alpha, 0) == len(box_oracle(g, alpha, frozenset()))
+            assert sheaf_cohomology_dim(fan, alpha, 2) == len(box_oracle(g, alpha, {1, 2, 3}))
+            assert sheaf_cohomology_dim(fan, alpha, 1) == 0
+
+
+def test_unvalidated_report_not_reused_by_validated_call():
+    fan = parse_fan("dim 1\nrays 2\n1\n-1\nmaxcones 2\n1\n2\n")
+    broken = type(fan)(dim=1, rays=fan.rays, max_cones=(fan.max_cones[0],))
+    cohomology_of_U(broken, validate=False)
+    with pytest.raises(FanError):
+        cohomology_of_U(broken)
+
+
+def test_degree0_failure_is_fan_error_and_not_cached():
+    fan = parse_fan(PSEUDO_FAN_TEXT)
+    for _ in range(2):
+        with pytest.raises(FanError, match="degree-0"):
+            cohomology_of_U(fan)
