@@ -10,7 +10,7 @@ from coxcoh.grading import (
     grading_group,
     match_degree_basis,
 )
-from coxcoh.fan import Fan, parse_fan
+from coxcoh.fan import parse_fan
 from conftest import (
     FANO7_DEGREES,
     FANO8_DEGREES,
@@ -202,20 +202,6 @@ def test_count_matches_enumeration_and_box_oracle(name):
     assert checked >= 8
 
 
-def test_torsion_fan_regions_all_unbounded():
-    # rays (2,1) and (0,1) with one cone: not complete, so no region is bounded
-    fan = Fan(dim=2, rays=((2, 1), (0, 1)), max_cones=((1, 2),))
-    g = grading_group(fan)
-    for residue in (0, 1):
-        alpha = g.class_from_free([], [residue])
-        for negative in ((), (1,), (2,), (1, 2)):
-            assert not literal_bounded(g, frozenset(negative))
-            with pytest.raises(UnboundedRegionError):
-                g.count_degrees(alpha, SignPattern(negative))
-            with pytest.raises(UnboundedRegionError):
-                g.enumerate_degrees(alpha, SignPattern(negative))
-
-
 @pytest.mark.parametrize("name", ["p2_fan", "fano7_fan", "fano8_fan"])
 def test_boundedness_verdict_matches_recession_cone(name, request):
     g = grading_group(request.getfixturevalue(name))
@@ -251,9 +237,13 @@ def test_quotient_lattice_with_torsion():
         alpha = g.class_from_free([], [residue])
         lift = g._particular_solution(alpha)
         assert g.degree_of(lift) == alpha
-    # a non-complete shape has unbounded nonnegative regions
-    with pytest.raises(UnboundedRegionError):
-        g.enumerate_degrees(g.class_from_free([], [0]), SignPattern())
+    # a non-complete shape has unbounded regions, on both routes
+    for negative in ((), (1,), (2,), (1, 2)):
+        assert not literal_bounded(g, frozenset(negative))
+        with pytest.raises(UnboundedRegionError):
+            g.enumerate_degrees(g.class_from_free([], [0]), SignPattern(negative))
+        with pytest.raises(UnboundedRegionError):
+            g.count_degrees(g.class_from_free([], [1]), SignPattern(negative))
 
 
 def test_rank_deficient_ray_matrix_rejected():
