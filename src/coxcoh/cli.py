@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isqrt
 
 from .fan import FanError, irrelevant_generators, parse_fan, validate_fan
 from .grading import GradingError, UnboundedRegionError
@@ -32,23 +31,6 @@ DOMAIN_ERRORS = (
 )
 
 
-# rank_mod_p multiplies two residues in int64, so p^2 must stay below 2^63
-MODP_LIMIT = 3 * 10**9
-
-
-def _modp_prime(text):
-    """argparse type for --modp: a prime p with 2 <= p < MODP_LIMIT."""
-    try:
-        p = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text) from None
-    if not 2 <= p < MODP_LIMIT or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-        raise argparse.ArgumentTypeError(
-            "%d is not a prime in [2, %d)" % (p, MODP_LIMIT)
-        )
-    return p
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="coxcoh",
@@ -62,8 +44,6 @@ def build_parser():
 
     p = sub.add_parser("validate", help="validate a fan file")
     add_common(p)
-    p.add_argument("--seed", type=int, default=42, help="seed for the completeness sample")
-    p.add_argument("--skip-sampling", action="store_true", help="skip the sample-point check")
 
     p = sub.add_parser("irrelevant", help="minimal monomial basis of the irrelevant ideal")
     add_common(p)
@@ -73,8 +53,6 @@ def build_parser():
 
     p = sub.add_parser("cohomology-u", help="cohomology cones of the punctured affine cone")
     add_common(p)
-    p.add_argument("--modp", type=_modp_prime, default=None, help="rank backend prime (non-exact)")
-    p.add_argument("--skip-sampling", action="store_true")
 
     p = sub.add_parser("sheaf", help="twisting sheaf cohomology dimensions per degree")
     add_common(p)
@@ -85,7 +63,6 @@ def build_parser():
         "(write --degree=-3;0 when the value starts with a dash)",
     )
     p.add_argument("--p", type=int, default=None, help="single cohomological index")
-    p.add_argument("--modp", type=_modp_prime, default=None)
 
     p = sub.add_parser("ext-oracle", help="finite-stage Ext oracle Hilbert table")
     add_common(p)
@@ -143,7 +120,7 @@ def _emit(doc, args, text_renderer):
 
 def _cmd_validate(args):
     fan = _read_fan(args.fan)
-    rep = validate_fan(fan, seed=args.seed, skip_sampling=args.skip_sampling)
+    rep = validate_fan(fan)
     doc = {
         "fan": fan.summary(),
         "simplicial": rep.simplicial,
@@ -208,7 +185,7 @@ def _cmd_grading(args):
 
 def _cmd_cohomology_u(args):
     fan = _read_fan(args.fan)
-    report = cohomology_of_U(fan, modp=args.modp, skip_sampling=args.skip_sampling)
+    report = cohomology_of_U(fan)
     doc = report_to_json(report)
 
     def render(doc):
@@ -234,7 +211,7 @@ def _cmd_sheaf(args):
         if not 0 <= args.p <= fan.n_rays:
             raise GradingError("p out of range 0..%d" % fan.n_rays)
         ps = [args.p]
-    report = cohomology_table(fan, degrees, ps=ps, modp=args.modp)
+    report = cohomology_table(fan, degrees, ps=ps)
     doc = report_to_json(report)
 
     def render(doc):

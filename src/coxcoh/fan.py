@@ -12,12 +12,8 @@ separated)::
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
-
-from .linalg import rational_rank, solve_rational
 
 
 class FanError(ValueError):
@@ -56,12 +52,12 @@ class Fan:
 @dataclass(frozen=True)
 class FanReport:
     simplicial: bool
-    complete: object  # True, False, or "unverified"
+    complete: bool
     wall_condition: bool
     messages: tuple = field(default_factory=tuple)
 
     def ok(self):
-        return self.simplicial and self.complete is True
+        return self.simplicial and self.complete
 
 
 @dataclass(frozen=True)
@@ -82,14 +78,6 @@ class SquarefreeMonomial:
         e = [0] * n
         for i in self.support:
             e[i - 1] = 1
-        return Poly.monomial(n, e)
-
-    def power_poly(self, n, m):
-        from .ring import Poly
-
-        e = [0] * n
-        for i in self.support:
-            e[i - 1] = m
         return Poly.monomial(n, e)
 
 
@@ -184,70 +172,124 @@ def emit_fan(fan, comment=None):
     return "\n".join(lines) + "\n"
 
 
-def _point_in_cone(fan, cone, point):
-    """Exact membership of a rational point in the simplicial cone."""
-    d = fan.dim
-    cols = fan.cone_rays(cone)
-    a = [[Fraction(cols[j][i]) for j in range(d)] for i in range(d)]
-    sol = solve_rational(a, point)
-    if sol is None:
-        return False
-    return all(c >= 0 for c in sol)
+def _det(rows):
+    """Exact determinant of a square integer matrix (fraction-free Bareiss
+    elimination, so every intermediate value is an integer)."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
-def validate_fan(fan, sample_points=1000, seed=42, skip_sampling=False):
-    """Check simpliciality, the wall condition, and certify completeness.
+def _sign(x):
+    return (x > 0) - (x < 0)
 
-    Completeness is certified (not proven) by the wall condition plus
-    membership of pseudo-random rational sample points; with sampling
-    skipped the report says "unverified".
+
+def _in_closed_cone(rays, cone_det, point):
+    """Membership of an integer point in the simplicial cone spanned by rays
+    (nonzero determinant cone_det): by Cramer's rule the coordinate on ray i
+    has the sign of det(rays with ray i replaced by point) / cone_det."""
+    s = _sign(cone_det)
+    for i in range(len(rays)):
+        swapped = rays[:i] + [point] + rays[i + 1 :]
+        if _sign(_det(swapped)) * s < 0:
+            return False
+    return True
+
+
+def validate_fan(fan):
+    """Check simpliciality and the wall condition, and decide completeness
+    exactly from the walls.
+
+    Proof of the completeness test.  Let the maximal cones be simplicial,
+    let every wall (facet of a maximal cone) lie in exactly two maximal
+    cones, and let the two rays opposite a wall W have determinants of
+    opposite sign against W's rays, so the two cones lie on opposite sides
+    of span W.  For a point x of the sphere S^(d-1) outside every wall let
+    c(x) be the number of maximal cones containing x.  Join two such points
+    by a path that meets the walls only in finitely many points, each in
+    the relative interior of the walls through it and off every
+    intersection of walls with different spans (those sets have codimension
+    at least 2 in the sphere, so a general path avoids them).  At such a
+    point y the walls through y span one hyperplane H, which the path
+    crosses; a cone not containing y adds nothing near y, a cone with y
+    inside adds one on both sides, and a cone with y on its boundary has
+    exactly one facet through y.  Those facets come in the pairs the wall
+    condition gives, one cone on each side of H, so c is the same on both
+    sides of y.  Hence c is constant off the walls when d >= 2, since the
+    sphere is connected.  The sum of the rays of cone 1 is an interior
+    point of cone 1; if it lies in no other closed maximal cone, a
+    neighbourhood of it meets no wall and has c = 1, so c = 1 everywhere
+    off the walls.  The cones then cover a dense subset of R^d, and as a
+    finite union of closed sets they cover all of it: the fan is complete.
+    For d = 1 the only wall is the origin, both cones contain it, and the
+    sign test says the two rays point opposite ways, which covers R.
+    Conversely, a complete simplicial fan passes every test: a wall's far
+    side is covered by exactly one cone, which must contain the wall, and
+    an interior point of one cone lies in no other.  The cost is two
+    determinants per wall and d + 1 per cone.
     """
     messages = []
-    d = fan.dim
+    cone_rays = [fan.cone_rays(cone) for cone in fan.max_cones]
+    dets = [_det(rays) for rays in cone_rays]
 
     simplicial = True
-    for ci, cone in enumerate(fan.max_cones, start=1):
-        if rational_rank(fan.cone_rays(cone)) != d:
+    for ci, det in enumerate(dets, start=1):
+        if det == 0:
             simplicial = False
             messages.append("cone %d is degenerate: rays are linearly dependent" % ci)
 
     # wall condition: every facet of a max cone lies in exactly two max cones
-    wall_counts = {}
+    wall_cones = {}
     for cone in fan.max_cones:
         for drop in cone:
             wall = tuple(i for i in cone if i != drop)
-            wall_counts[wall] = wall_counts.get(wall, 0) + 1
+            wall_cones.setdefault(wall, []).append(drop)
     wall_condition = True
-    for wall, count in sorted(wall_counts.items()):
-        if count != 2:
+    for wall, opposite in sorted(wall_cones.items()):
+        if len(opposite) != 2:
             wall_condition = False
             messages.append(
-                "wall %s lies in %d max cone(s), expected 2" % (set(wall) or "{}", count)
+                "wall %s lies in %d max cone(s), expected 2" % (set(wall) or "{}", len(opposite))
             )
 
-    if not (simplicial and wall_condition):
-        complete = False
-    elif skip_sampling:
-        complete = "unverified"
-        messages.append("completeness unverified: sample-point check skipped")
-    else:
-        rng = random.Random(seed)
-        complete = True
-        for _ in range(sample_points):
-            point = [
-                Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 997)) for _ in range(d)
-            ]
-            if all(v == 0 for v in point):
-                continue
-            if not any(_point_in_cone(fan, cone, point) for cone in fan.max_cones):
+    complete = simplicial and wall_condition
+    if complete:
+        for wall, (a, b) in sorted(wall_cones.items()):
+            base = fan.cone_rays(wall)
+            if _sign(_det(base + [fan.rays[a - 1]])) == _sign(_det(base + [fan.rays[b - 1]])):
                 complete = False
-                messages.append("sample point %s lies in no max cone" % (tuple(point),))
-                break
-        if complete:
+                messages.append(
+                    "wall %s has both its cones on one side (rays %d and %d)"
+                    % (set(wall) or "{}", a, b)
+                )
+    if complete:
+        point = [sum(col) for col in zip(*cone_rays[0])]
+        covering = sum(
+            _in_closed_cone(rays, det, point) for rays, det in zip(cone_rays, dets)
+        )
+        if covering != 1:
+            complete = False
             messages.append(
-                "completeness certified by wall condition plus %d sample points (seed %d);"
-                " this is a certificate, not a proof" % (sample_points, seed)
+                "interior point %s of cone 1 lies in %d max cones, expected 1"
+                % (tuple(point), covering)
             )
+    if complete:
+        messages.append(
+            "complete: every wall separates its two cones and an interior point "
+            "of cone 1 lies in no other cone"
+        )
     return FanReport(
         simplicial=simplicial,
         complete=complete,

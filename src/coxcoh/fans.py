@@ -114,11 +114,3 @@ def blowup_p11336_fan():
 
 def blowup_p112236_fan():
     return parse_fan(BLOWUP_P112236_TEXT)
-
-
-BUILTIN_FANS = {
-    "p1": lambda: projective_space_fan(1),
-    "p2": lambda: projective_space_fan(2),
-    "blowup-p11336": blowup_p11336_fan,
-    "blowup-p112236": blowup_p112236_fan,
-}

@@ -364,7 +364,3 @@ def hilbert_function_box(module, box):
             rank_cache[key] = rank
         out[d] = nslots - rank
     return out
-
-
-def hilbert_functions_equal(mod_a, mod_b, box):
-    return hilbert_function_box(mod_a, box) == hilbert_function_box(mod_b, box)

@@ -1,37 +1,17 @@
-"""Hot integer kernels with numba acceleration and pure-numpy fallbacks.
+"""Integer bitmask kernels for the literal subset complex, in numpy.
 
-Set COXCOH_DISABLE_NUMBA=1 to force the numpy implementations (for example
-to compare the two paths; benchmarks/bench_kernels.py does exactly that).
-Both paths compute identical values; numba only changes speed.
+Only `localcoh.literal_pattern_cohomology`, the test oracle for the nerve
+route, uses them.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("COXCOH_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by COXCOH_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    HAVE_NUMBA = False
-
-
-def backend_name():
-    return "numba" if HAVE_NUMBA else "numpy"
-
 
 MAX_SUBSET_BITS = 22
 
 
-def surviving_masks_numpy(t, var_masks):
+def surviving_masks(t, var_masks):
     """All subsets (bitmasks over t generators) intersecting every var mask."""
     if t > MAX_SUBSET_BITS:
         raise ValueError("too many generators for subset enumeration: %d" % t)
@@ -42,137 +22,10 @@ def surviving_masks_numpy(t, var_masks):
     return masks[keep]
 
 
-def popcounts_numpy(masks):
-    out = np.zeros(masks.shape, dtype=np.int64)
-    work = masks.copy()
+def popcounts(masks):
+    work = np.array(masks, dtype=np.int64)
+    out = np.zeros(work.shape, dtype=np.int64)
     while work.any():
         out += work & 1
         work >>= 1
     return out
-
-
-def rank_mod_p_numpy(matrix, p):
-    """Rank of an integer matrix over GF(p) by vectorized row elimination."""
-    a = np.array(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + nz[0]
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        below = a[rank + 1 :, col].copy()
-        mask = below != 0
-        if mask.any():
-            a[rank + 1 :][mask] = (a[rank + 1 :][mask] - below[mask, None] * a[rank][None, :]) % p
-        rank += 1
-    return rank
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _surviving_masks_jit(t, var_masks):
-        total = 1 << t
-        keep = np.ones(total, dtype=np.bool_)
-        for i in range(var_masks.shape[0]):
-            gm = var_masks[i]
-            for m in range(total):
-                if m & gm == 0:
-                    keep[m] = False
-        count = 0
-        for m in range(total):
-            if keep[m]:
-                count += 1
-        out = np.empty(count, dtype=np.int64)
-        j = 0
-        for m in range(total):
-            if keep[m]:
-                out[j] = m
-                j += 1
-        return out
-
-    @njit(cache=True)
-    def _popcounts_jit(masks):
-        out = np.zeros(masks.shape[0], dtype=np.int64)
-        for i in range(masks.shape[0]):
-            m = masks[i]
-            c = 0
-            while m:
-                m &= m - 1
-                c += 1
-            out[i] = c
-        return out
-
-    @njit(cache=True)
-    def _rank_mod_p_jit(a, p):
-        rows, cols = a.shape
-        a = a % p
-        rank = 0
-        for col in range(cols):
-            if rank == rows:
-                break
-            piv = -1
-            for r in range(rank, rows):
-                if a[r, col] != 0:
-                    piv = r
-                    break
-            if piv < 0:
-                continue
-            if piv != rank:
-                for c in range(cols):
-                    tmp = a[rank, c]
-                    a[rank, c] = a[piv, c]
-                    a[piv, c] = tmp
-            # modular inverse by Fermat
-            inv = 1
-            base = a[rank, col] % p
-            e = p - 2
-            while e:
-                if e & 1:
-                    inv = (inv * base) % p
-                base = (base * base) % p
-                e >>= 1
-            for c in range(cols):
-                a[rank, c] = (a[rank, c] * inv) % p
-            for r in range(rank + 1, rows):
-                f = a[r, col]
-                if f:
-                    for c in range(cols):
-                        a[r, c] = (a[r, c] - f * a[rank, c]) % p
-            rank += 1
-        return rank
-
-    def surviving_masks(t, var_masks):
-        if t > MAX_SUBSET_BITS:
-            raise ValueError("too many generators for subset enumeration: %d" % t)
-        return _surviving_masks_jit(t, np.asarray(var_masks, dtype=np.int64))
-
-    def popcounts(masks):
-        return _popcounts_jit(np.asarray(masks, dtype=np.int64))
-
-    def rank_mod_p(matrix, p):
-        a = np.array(matrix, dtype=np.int64)
-        if a.size == 0:
-            return 0
-        return int(_rank_mod_p_jit(a, p))
-
-else:
-
-    def surviving_masks(t, var_masks):
-        return surviving_masks_numpy(t, np.asarray(var_masks, dtype=np.int64))
-
-    def popcounts(masks):
-        return popcounts_numpy(np.asarray(masks, dtype=np.int64))
-
-    def rank_mod_p(matrix, p):
-        a = np.array(matrix, dtype=np.int64)
-        if a.size == 0:
-            return 0
-        return rank_mod_p_numpy(a, p)

@@ -7,7 +7,6 @@ touches floating point; ranks and solutions are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def rational_rank(rows):
@@ -103,8 +102,9 @@ def sparse_rank_exact(columns):
     """Exact rank of a sparse matrix given as columns: iterable of
     dict[row_index -> int/Fraction].
 
-    Greedy elimination preferring unit pivots with low fill keeps the
-    intermediate entries small for incidence-type matrices.
+    Greedy elimination on the shortest live column, preferring a unit pivot
+    in the sparsest row, keeps the fill and the intermediate entries small
+    for incidence-type matrices.
     """
     cols = [dict(c) for c in columns if c]
     # row -> set of live column indices containing that row
@@ -115,17 +115,9 @@ def sparse_rank_exact(columns):
     alive = set(range(len(cols)))
     rank = 0
     while alive:
-        best = None
-        for ci in alive:
-            c = cols[ci]
-            for r, v in c.items():
-                score = (0 if abs(v) == 1 else 1, len(occupancy[r]), len(c))
-                if best is None or score < best[0]:
-                    best = (score, ci, r)
-        if best is None:
-            break
-        _, pci, prow = best
+        pci = min(alive, key=lambda ci: len(cols[ci]))
         pcol = cols[pci]
+        prow = min(pcol, key=lambda r: (abs(pcol[r]) != 1, len(occupancy[r])))
         pval = pcol[prow]
         alive.discard(pci)
         rank += 1
@@ -135,7 +127,8 @@ def sparse_rank_exact(columns):
             if ci not in alive:
                 continue
             c = cols[ci]
-            f = Fraction(c[prow]) / pval
+            # integer entries stay integers whenever the pivot divides them
+            f = c[prow] // pval if c[prow] % pval == 0 else Fraction(c[prow]) / pval
             for r, v in pcol.items():
                 nv = c.get(r, 0) - f * v
                 if nv:
@@ -149,12 +142,3 @@ def sparse_rank_exact(columns):
         # drop emptied columns
         alive = {ci for ci in alive if cols[ci]}
     return rank
-
-
-def lcm_list(values):
-    out = 1
-    for v in values:
-        v = abs(int(v))
-        if v:
-            out = out * v // gcd(out, v)
-    return out

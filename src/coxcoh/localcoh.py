@@ -4,17 +4,16 @@ ideal, organized by sign pattern.
 In a fixed fine degree whose negative support is J, the level-p term of the
 limit complex has one basis vector per p-subset T of the ideal generators
 whose supports jointly cover J, and the coboundary is the Koszul sign matrix
-restricted to those subsets.  The resulting dimensions depend on J alone.
+restricted to those subsets.  The resulting dimensions depend on J alone
+(Hochster's formula; Eisenbud-Mustata-Stillman 2000).
 
-Two exact evaluation routes are provided and cross-checked in the tests:
-
-* "matrix": build the 0/+-1 coboundary matrices literally and take exact
-  ranks (optionally over GF(p) with --modp, flagged non-exact);
-* "nerve": the same complex is the quotient of the full (exact) subset
-  complex by the span of the subsets missing some variable of J; that span
-  is a union of full simplices, so its cohomology equals the cohomology of
-  the nerve of that cover, a complex on at most |J| vertices.  This route
-  makes the 2^n-pattern sweep cheap even for 18 generators.
+`pattern_cohomology` evaluates them on the nerve: the complex is the
+quotient of the full (exact) subset complex by the span of the subsets
+missing some variable of J; that span is a union of full simplices, so its
+cohomology equals the cohomology of the nerve of that cover, a complex on at
+most |J| vertices.  `literal_pattern_cohomology` builds the 0/+-1 coboundary
+matrices of the subset complex itself and takes exact ranks; it is the
+oracle the tests hold the nerve route to, and no production path calls it.
 """
 
 from __future__ import annotations
@@ -31,13 +30,11 @@ from .homalg import (
     free_resolution,
     hilbert_function_box,
 )
-from .kernels import popcounts, rank_mod_p, surviving_masks
+from .kernels import popcounts, surviving_masks
 from .linalg import rational_rank, sparse_rank_exact
 from .ring import Poly
 
-MATRIX_ROUTE_MAX_GENERATORS = 13
-MATRIX_ROUTE_CELL_LIMIT = 1 << 16
-MODP_DENSE_LIMIT = 4000
+LITERAL_CELL_LIMIT = 1 << 16
 
 
 @dataclass
@@ -46,7 +43,6 @@ class SignPatternCohomology:
 
     pattern: SignPattern
     dims: dict = field(default_factory=dict)  # level p -> dimension > 0
-    exact: bool = True
 
     def nonzero_levels(self):
         return sorted(self.dims)
@@ -72,16 +68,48 @@ class PatternComplexError(RuntimeError):
     pass
 
 
-def _matrix_route_dims(t, var_masks, modp=None):
-    masks = surviving_masks(t, sorted(var_masks))
-    if len(masks) > MATRIX_ROUTE_CELL_LIMIT:
+def _pattern_setup(gens, pattern, n):
+    """(supports, negative support, minimal family of the generator sets
+    hitting each negative variable); the family is None when the pattern's
+    cohomology vanishes outright (empty pattern, or a negative variable in
+    no generator)."""
+    supports = _supports(gens)
+    neg = frozenset(pattern.negative if isinstance(pattern, SignPattern) else pattern)
+    if any(not 1 <= v <= n for v in neg):
+        raise ValueError("pattern indices must lie in 1..%d" % n)
+    if not neg:
+        return supports, neg, None
+    hitting = {v: frozenset(i for i, s in enumerate(supports) if v in s) for v in neg}
+    if any(not h for h in hitting.values()):
+        return supports, neg, None
+    return supports, neg, _minimal_family(hitting.values())
+
+
+def _check_level_bounds(dims, t, n):
+    for p in dims:
+        if p > t or p > n:
+            raise PatternComplexError(
+                "cohomology above the generator count or variable bound at level %d" % p
+            )
+
+
+def literal_pattern_cohomology(gens, pattern, n):
+    """Oracle for `pattern_cohomology`: the same dimensions from the literal
+    subset complex on the generators, by exact sparse ranks.  Its size is
+    up to 2^t cells, so it refuses complexes above LITERAL_CELL_LIMIT."""
+    supports, neg, family = _pattern_setup(gens, pattern, n)
+    if family is None:
+        return SignPatternCohomology(SignPattern(neg), {})
+    t = len(supports)
+    var_masks = sorted(sum(1 << i for i in g) for g in family)
+    masks = surviving_masks(t, var_masks)
+    if len(masks) > LITERAL_CELL_LIMIT:
         raise PatternComplexError(
-            "literal subset complex has %d cells; use the nerve route for "
-            "generator sets this large" % len(masks)
+            "literal subset complex has %d cells; the oracle stops at %d"
+            % (len(masks), LITERAL_CELL_LIMIT)
         )
-    pops = popcounts(masks)
     levels = {}
-    for m, p in zip(masks.tolist(), pops.tolist()):
+    for m, p in zip(masks.tolist(), popcounts(masks).tolist()):
         levels.setdefault(p, []).append(m)
     index = {p: {m: i for i, m in enumerate(ms)} for p, ms in levels.items()}
 
@@ -107,26 +135,17 @@ def _matrix_route_dims(t, var_masks, modp=None):
                     raise PatternComplexError("surviving family is not upward closed")
                 col[row] = sign_of_insert(bigger, j)
             cols.append(col)
-        if modp is None:
-            ranks[p] = sparse_rank_exact(cols)
-        else:
-            nrows = len(levels[p + 1])
-            if nrows * len(cols) > MODP_DENSE_LIMIT**2:
-                raise PatternComplexError("matrix too large for the dense mod-p backend")
-            dense = [[0] * len(cols) for _ in range(nrows)]
-            for ci, col in enumerate(cols):
-                for r, v in col.items():
-                    dense[r][ci] = v
-            ranks[p] = rank_mod_p(dense, modp)
+        ranks[p] = sparse_rank_exact(cols)
     dims = {}
     for p, ms in levels.items():
         d = len(ms) - ranks.get(p, 0) - ranks.get(p - 1, 0)
         if d:
             dims[p] = d
-    return dims
+    _check_level_bounds(dims, t, n)
+    return SignPatternCohomology(SignPattern(neg), dims)
 
 
-def _nerve_route_dims(t, supports, neg):
+def _nerve_route_dims(supports, neg):
     """Reduced nerve cohomology: dims[p] = H~^(p-2) of the union of the
     simplices of generators missing each variable of the pattern."""
     vertices = sorted(v for v in neg if any(v not in s for s in supports))
@@ -174,51 +193,23 @@ def _nerve_route_dims(t, supports, neg):
 _pattern_memo = {}
 
 
-def pattern_cohomology(gens, pattern, n, method="auto", modp=None):
+def pattern_cohomology(gens, pattern, n):
     """Limit cohomology dimensions of the coordinate ring in any fine degree
     with the given negative support; constant across such degrees.
 
-    gens are squarefree monomials (the irrelevant ideal's minimal basis).
-    method is "matrix", "nerve", or "auto"; both are exact, "matrix" with
-    modp set computes ranks over GF(modp) instead and flags the result."""
-    supports = _supports(gens)
-    t = len(supports)
-    neg = frozenset(pattern.negative if isinstance(pattern, SignPattern) else pattern)
-    if any(not 1 <= v <= n for v in neg):
-        raise ValueError("pattern indices must lie in 1..%d" % n)
+    gens are squarefree monomials (the irrelevant ideal's minimal basis)."""
+    supports, neg, family = _pattern_setup(gens, pattern, n)
     result_pattern = SignPattern(neg)
-    if not neg:
+    if family is None:
         return SignPatternCohomology(result_pattern, {})
-    hitting = {v: frozenset(i for i, s in enumerate(supports) if v in s) for v in neg}
-    if any(not h for h in hitting.values()):
-        return SignPatternCohomology(result_pattern, {})
-    family = _minimal_family(hitting.values())
-    if method == "auto":
-        method = "matrix" if t <= MATRIX_ROUTE_MAX_GENERATORS else "nerve"
-    exact = modp is None or method == "nerve"
-    key = (tuple(supports), family, method, modp)
+    key = (tuple(supports), family)
     cached = _pattern_memo.get(key)
     if cached is not None:
-        return SignPatternCohomology(result_pattern, dict(cached), exact)
-    if method == "matrix":
-        var_masks = []
-        for g in family:
-            m = 0
-            for i in g:
-                m |= 1 << i
-            var_masks.append(m)
-        dims = _matrix_route_dims(t, var_masks, modp)
-    elif method == "nerve":
-        dims = _nerve_route_dims(t, supports, neg)
-    else:
-        raise ValueError("unknown method %r" % method)
-    for p in dims:
-        if p > t or p > n:
-            raise PatternComplexError(
-                "cohomology above the generator count or variable bound at level %d" % p
-            )
+        return SignPatternCohomology(result_pattern, dict(cached))
+    dims = _nerve_route_dims(supports, neg)
+    _check_level_bounds(dims, len(supports), n)
     _pattern_memo[key] = dict(dims)
-    return SignPatternCohomology(result_pattern, dims, exact)
+    return SignPatternCohomology(result_pattern, dims)
 
 
 def all_patterns(n):
@@ -230,12 +221,12 @@ def all_patterns(n):
     return out
 
 
-def pattern_table(gens, n, method="auto", modp=None):
+def pattern_table(gens, n):
     """SignPatternCohomology for every pattern with nonzero dims, in
     subset-lexicographic pattern order."""
     out = []
     for pat in all_patterns(n):
-        res = pattern_cohomology(gens, pat, n, method=method, modp=modp)
+        res = pattern_cohomology(gens, pat, n)
         if res.dims:
             out.append(res)
     return out

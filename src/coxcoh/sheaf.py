@@ -25,7 +25,7 @@ class CohomologyReport:
     basis_note: str
     notes: list = field(default_factory=list)
     per_degree: list = None  # optional [{"alpha": ..., "p": ..., "dim": ...}]
-    exact: bool = True
+    exact = True  # every route computes exact ranks and counts
 
     def cones_at(self, p):
         """(pattern tuple, multiplicity) cone summands of H^p, p >= 1."""
@@ -59,32 +59,28 @@ ERRATUM_NOTE = (
 )
 
 
-def cohomology_of_U(fan, method="auto", modp=None, validate=True, skip_sampling=False):
+def cohomology_of_U(fan, validate=True):
     """Cohomology of the punctured cone over the toric variety, reported as
     sign-pattern cones with multiplicities (no per-degree table).
 
     Raises FanError when the fan fails validation or when h^p(O) is nonzero
     or unbounded for some p > 0, which no complete fan allows."""
-    # only fully validated reports are cached, so a cached report never
-    # lets a later call skip a check it asked for
+    # only validated reports are cached, so a cached report never lets a
+    # later call skip a check it asked for
     cache = _fan_cache.setdefault(_fan_key(fan), {})
-    key = ("report", method, modp)
-    cached = cache.get(key)
+    cached = cache.get("report")
     if cached is not None:
         return cached
     if validate:
-        rep = validate_fan(fan, skip_sampling=skip_sampling)
-        if not rep.simplicial or rep.complete is False:
+        rep = validate_fan(fan)
+        if not rep.ok():
             raise FanError(
                 "fan failed validation (simplicial=%s complete=%s): %s"
                 % (rep.simplicial, rep.complete, "; ".join(rep.messages))
             )
     n = fan.n_rays
     gens = irrelevant_generators(fan)
-    if modp is not None:
-        method = "matrix"  # mod-p ranks only exist on the literal matrix route
-    table = pattern_table(gens, n, method=method, modp=modp)
-    exact = all(entry.exact for entry in table)
+    table = pattern_table(gens, n)
     closed = {0: [("S", 1)]}
     for entry in table:
         for level, mult in sorted(entry.dims.items()):
@@ -110,7 +106,6 @@ def cohomology_of_U(fan, method="auto", modp=None, validate=True, skip_sampling=
         closed_forms=closed,
         basis_note=basis_note,
         notes=notes,
-        exact=exact,
     )
     # degree-zero consistency: all higher cohomology of the structure sheaf
     # must vanish
@@ -130,18 +125,18 @@ def cohomology_of_U(fan, method="auto", modp=None, validate=True, skip_sampling=
             "(p, h^p) = %s, which cannot happen on a complete fan" % (bad,)
         )
     notes.append("degree-0 consistency check passed: h^p(O) = 0 for p = 1..%d" % n)
-    if validate and not skip_sampling:
-        cache[key] = report
+    if validate:
+        cache["report"] = report
     return report
 
 
-def sheaf_cohomology_dim(fan, alpha, p, report=None, method="auto", modp=None):
+def sheaf_cohomology_dim(fan, alpha, p, report=None):
     """Dimension of H^p of the twisting sheaf of class alpha."""
     n = fan.n_rays
     if not 0 <= p <= n:
         raise ValueError("cohomological index %d out of range 0..%d" % (p, n))
     if report is None:
-        report = cohomology_of_U(fan, method=method, modp=modp)
+        report = cohomology_of_U(fan)
     grading = fan_grading(fan)
     total = 0
     if p == 0:
@@ -151,11 +146,11 @@ def sheaf_cohomology_dim(fan, alpha, p, report=None, method="auto", modp=None):
     return total
 
 
-def cohomology_table(fan, degrees, ps=None, method="auto", modp=None):
+def cohomology_table(fan, degrees, ps=None):
     """Batch per-degree dimensions; returns a CohomologyReport with the
     per_degree table filled, deterministic ordering (degrees as given, then
     ascending p)."""
-    base = cohomology_of_U(fan, method=method, modp=modp)
+    base = cohomology_of_U(fan)
     n = fan.n_rays
     if ps is None:
         ps = list(range(0, n + 1))
@@ -173,7 +168,6 @@ def cohomology_table(fan, degrees, ps=None, method="auto", modp=None):
         basis_note=base.basis_note,
         notes=list(base.notes),
         per_degree=per,
-        exact=base.exact,
     )
 
 

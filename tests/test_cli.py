@@ -28,9 +28,16 @@ def test_validate_json(capsys):
 
 
 def test_validate_skip_sampling(capsys):
-    code, out, _ = run_cli(capsys, "validate", str(FANS_DIR / "p2.fan"), "--json", "--skip-sampling")
-    assert code == 0
-    assert json.loads(out)["complete"] == "unverified"
+    # completeness is decided exactly, so the sampling options are gone
+    for argv in (
+        ["validate", str(FANS_DIR / "p2.fan"), "--skip-sampling"],
+        ["validate", str(FANS_DIR / "p2.fan"), "--seed", "7"],
+        ["cohomology-u", str(FANS_DIR / "p2.fan"), "--skip-sampling"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_irrelevant(capsys):
@@ -112,34 +119,16 @@ def test_ext_oracle_json(capsys):
     assert doc["hilbert"] == [{"degree": [-1, -1, -1], "dim": 1}]
 
 
-def test_modp_flag_marks_inexact(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "cohomology-u",
-        str(FANS_DIR / "p2.fan"),
-        "--modp", "2147483647", "--json",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["exact"] is False
-    assert doc["patterns"] == [{"negative": [1, 2, 3], "p": 2, "mult": 1}]
-
-
-@pytest.mark.parametrize("value", ["0", "1", "4", "3000000019"])
+@pytest.mark.parametrize("value", ["0", "1", "4", "101", "3000000019"])
 def test_modp_not_a_usable_prime_is_usage_error(value, capsys):
+    # ranks are exact only; the mod-p backend and its option are gone
     with pytest.raises(SystemExit) as exc:
         main(["cohomology-u", str(FANS_DIR / "p2.fan"), "--modp", value, "--json"])
     assert exc.value.code == 2
-    assert "not a prime" in capsys.readouterr().err
+    assert "unrecognized arguments: --modp" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["sheaf", str(FANS_DIR / "p2.fan"), "--degree=-3", "--modp", value])
     assert exc.value.code == 2
-
-
-def test_modp_small_prime_accepted(capsys):
-    code, out, _ = run_cli(capsys, "cohomology-u", str(FANS_DIR / "p2.fan"), "--modp", "101", "--json")
-    assert code == 0
-    assert json.loads(out)["patterns"] == [{"negative": [1, 2, 3], "p": 2, "mult": 1}]
 
 
 def test_pseudo_fan_cohomology_u_is_domain_error(tmp_path, capsys):
@@ -148,18 +137,10 @@ def test_pseudo_fan_cohomology_u_is_domain_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "cohomology-u", str(path), "--json")
     assert code == 1
     assert out == ""
-    assert "degree-0 consistency check failed" in err
-
-
-def test_modp_on_oversized_fan_fails_fast(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "cohomology-u",
-        str(FANS_DIR / "blowup_p112236.fan"),
-        "--modp", "2147483647",
-    )
-    assert code == 1
-    assert "cells" in err
+    assert "fan failed validation" in err and "lies in 2 max cones" in err
+    code, out, _ = run_cli(capsys, "validate", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["complete"] is False
 
 
 def test_koszul_check_p1(capsys):

@@ -5,7 +5,7 @@ import pytest
 from coxcoh.fan import FanError, emit_fan, irrelevant_generators, parse_fan, validate_fan
 from coxcoh.fans import BLOWUP_P11336_TEXT, BLOWUP_P112236_TEXT
 
-from conftest import FANO7_IDEAL, FANO8_IDEAL
+from conftest import FANO7_IDEAL, FANO8_IDEAL, FANS_DIR, PSEUDO_FAN_TEXT
 
 P1_TEXT = "dim 1\nrays 2\n1\n-1\nmaxcones 2\n1\n2\n"
 
@@ -50,26 +50,59 @@ def test_comments_and_whitespace_ignored():
 
 
 def test_validate_p1(p1_fan):
-    rep = validate_fan(p1_fan, sample_points=50)
+    rep = validate_fan(p1_fan)
     assert rep.simplicial and rep.complete is True and rep.wall_condition
 
 
 def test_validate_broken_p1_not_complete():
     fan = parse_fan(P1_TEXT)
     broken = type(fan)(dim=1, rays=fan.rays, max_cones=(fan.max_cones[0],))
-    rep = validate_fan(broken, sample_points=50)
+    rep = validate_fan(broken)
     assert rep.complete is False and not rep.wall_condition
 
 
-def test_validate_skip_sampling_unverified(p2_fan):
-    rep = validate_fan(p2_fan, skip_sampling=True)
-    assert rep.complete == "unverified"
-    assert rep.wall_condition
+def test_pseudo_fan_not_complete():
+    # every wall lies in two cones on opposite sides, but the cones wind
+    # twice around the origin: the interior point of cone 1 is covered twice
+    rep = validate_fan(parse_fan(PSEUDO_FAN_TEXT))
+    assert rep.simplicial and rep.wall_condition
+    assert rep.complete is False and not rep.ok()
+    assert any("lies in 2 max cones" in m for m in rep.messages)
+
+
+def test_cones_on_one_side_of_a_wall_not_complete():
+    # the cycle of cones turns back at rays 2 and 3, so the cones on each of
+    # those walls lie on one side and the sector between rays 3 and 2 is
+    # covered three times; no point lies in no cone
+    text = "dim 2\nrays 5\n1 0\n-1 6\n1 2\n-2 1\n-1 -2\nmaxcones 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
+    rep = validate_fan(parse_fan(text))
+    assert rep.simplicial and rep.wall_condition
+    assert rep.complete is False
+    assert any("wall {2} has both its cones on one side" in m for m in rep.messages)
+
+
+def test_complete_is_a_bool_on_shipped_fans_and_relabelings(fano7_fan):
+    for path in sorted(FANS_DIR.glob("*.fan")):
+        rep = validate_fan(parse_fan(path.read_text()))
+        assert rep.complete is True, path.name
+    rays = list(fano7_fan.rays)
+    for seed in range(8):
+        perm = list(range(1, len(rays) + 1))
+        random.Random(seed).shuffle(perm)
+        new_rays = [None] * len(rays)
+        for old, new in enumerate(perm, start=1):
+            new_rays[new - 1] = rays[old - 1]
+        cones = [tuple(sorted(perm[i - 1] for i in cone)) for cone in fano7_fan.max_cones]
+        random.Random(seed).shuffle(cones)
+        fan = type(fano7_fan)(dim=fano7_fan.dim, rays=tuple(new_rays), max_cones=tuple(cones))
+        assert validate_fan(fan).complete is True
+        # dropping a cone leaves walls with one cone
+        assert validate_fan(type(fan)(fan.dim, fan.rays, fan.max_cones[1:])).complete is False
 
 
 def test_complete_implies_wall_on_examples(fano7_fan, fano8_fan):
     for fan in (fano7_fan, fano8_fan):
-        rep = validate_fan(fan, sample_points=200)
+        rep = validate_fan(fan)
         assert rep.simplicial and rep.wall_condition and rep.complete is True
 
 
@@ -77,7 +110,7 @@ def test_printed_cone_variant_fails_validation():
     # the as-printed 16th cone (2 3 6 7 8) breaks the wall condition; the
     # shipped fan uses the corrected cone (2 4 6 7 8)
     text = BLOWUP_P112236_TEXT.replace("2 4 6 7 8", "2 3 6 7 8")
-    rep = validate_fan(parse_fan(text), sample_points=20)
+    rep = validate_fan(parse_fan(text))
     assert rep.wall_condition is False and rep.complete is False
 
 
@@ -123,7 +156,7 @@ def test_roundtrip_random_relabelings(fano7_fan):
         cones = tuple(tuple(sorted(perm[i - 1] for i in cone)) for cone in fano7_fan.max_cones)
         fan = type(fano7_fan)(dim=fano7_fan.dim, rays=tuple(new_rays), max_cones=cones)
         assert parse_fan(emit_fan(fan)) == fan
-        rep = validate_fan(fan, sample_points=50)
+        rep = validate_fan(fan)
         assert rep.complete is True
 
 

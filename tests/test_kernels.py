@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 
@@ -20,30 +17,9 @@ def test_surviving_masks_matches_bruteforce():
         assert got == want
 
 
-def test_numpy_and_dispatched_agree():
-    rng = random.Random(1)
-    t = 12
-    var_masks = [rng.getrandbits(t) | 1 for _ in range(5)]
-    a = np.sort(kernels.surviving_masks(t, var_masks))
-    b = np.sort(kernels.surviving_masks_numpy(t, var_masks))
-    assert np.array_equal(a, b)
-    mat = [[rng.randint(-2, 2) for _ in range(30)] for _ in range(25)]
-    assert kernels.rank_mod_p(mat, 2147483647) == kernels.rank_mod_p_numpy(mat, 2147483647)
-
-
 def test_popcounts():
     arr = np.array([0, 1, 3, 255, 2**17], dtype=np.int64)
     assert kernels.popcounts(arr).tolist() == [0, 1, 2, 8, 1]
-
-
-def test_rank_mod_p_matches_exact_rank():
-    rng = random.Random(5)
-    p = 2147483647
-    for _ in range(25):
-        rows = rng.randint(1, 8)
-        cols = rng.randint(1, 8)
-        mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        assert kernels.rank_mod_p(mat, p) == rational_rank(mat)
 
 
 def test_sparse_rank_exact_matches_dense():
@@ -58,39 +34,3 @@ def test_sparse_rank_exact_matches_dense():
             sparse_cols.append(col)
         assert sparse_rank_exact(sparse_cols) == rational_rank(dense)
 
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, COXCOH_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from coxcoh import kernels; print(kernels.backend_name())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backends_give_same_pattern_tables(fano7_fan):
-    # the full pattern sweep agrees across a forced-numpy child process
-    code = (
-        "from coxcoh.fans import blowup_p11336_fan\n"
-        "from coxcoh.fan import irrelevant_generators\n"
-        "from coxcoh.localcoh import pattern_table\n"
-        "fan = blowup_p11336_fan()\n"
-        "t = [(e.pattern.as_sorted(), sorted(e.dims.items())) for e in "
-        "pattern_table(irrelevant_generators(fan), 7)]\n"
-        "print(repr(t))\n"
-    )
-    env = dict(os.environ, COXCOH_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    from coxcoh.fan import irrelevant_generators
-    from coxcoh.localcoh import pattern_table
-
-    here = [
-        (e.pattern.as_sorted(), sorted(e.dims.items()))
-        for e in pattern_table(irrelevant_generators(fano7_fan), 7)
-    ]
-    assert out.stdout.strip() == repr(here)

@@ -9,6 +9,7 @@ from coxcoh.localcoh import (
     all_patterns,
     bracket_power_module,
     ext_limit_oracle,
+    literal_pattern_cohomology,
     negative_support,
     pattern_cohomology,
     pattern_table,
@@ -49,7 +50,7 @@ def test_table_fano7(fano7_fan):
 
 def test_table_fano8(fano8_fan):
     gens = irrelevant_generators(fano8_fan)
-    table = [(e.pattern.as_sorted(), e.dims) for e in pattern_table(gens, 8, method="nerve")]
+    table = [(e.pattern.as_sorted(), e.dims) for e in pattern_table(gens, 8)]
     assert table == [
         ((5, 6), {2: 1}),
         ((1, 4, 8), {3: 1}),
@@ -64,8 +65,8 @@ def test_table_fano8(fano8_fan):
 def test_methods_agree_on_fano7(fano7_fan):
     gens = irrelevant_generators(fano7_fan)
     for pat in all_patterns(7):
-        a = pattern_cohomology(gens, pat, 7, method="matrix")
-        b = pattern_cohomology(gens, pat, 7, method="nerve")
+        a = literal_pattern_cohomology(gens, pat, 7)
+        b = pattern_cohomology(gens, pat, 7)
         assert a.dims == b.dims, pat
 
 
@@ -79,17 +80,9 @@ def test_methods_agree_randomized():
             size = rng.randint(1, n)
             supports.append(frozenset(rng.sample(range(1, n + 1), size)))
         for pat in all_patterns(n):
-            a = pattern_cohomology(supports, pat, n, method="matrix")
-            b = pattern_cohomology(supports, pat, n, method="nerve")
+            a = literal_pattern_cohomology(supports, pat, n)
+            b = pattern_cohomology(supports, pat, n)
             assert a.dims == b.dims, (supports, pat.as_sorted(), a.dims, b.dims)
-
-
-def test_modp_backend_agrees_on_fano7(fano7_fan):
-    gens = irrelevant_generators(fano7_fan)
-    exact = pattern_cohomology(gens, SignPattern({5, 6}), 7, method="matrix")
-    modp = pattern_cohomology(gens, SignPattern({5, 6}), 7, method="matrix", modp=2147483647)
-    assert exact.dims == modp.dims
-    assert exact.exact and not modp.exact
 
 
 def test_euler_characteristic_invariant(fano7_fan):
@@ -199,7 +192,7 @@ def test_matrix_route_size_guard(fano8_fan):
 
     gens = irrelevant_generators(fano8_fan)
     with pytest.raises(PatternComplexError, match="cells"):
-        pattern_cohomology(gens, SignPattern(range(1, 9)), 8, method="matrix")
+        literal_pattern_cohomology(gens, SignPattern(range(1, 9)), 8)
 
 
 def test_methods_agree_larger_instance():
@@ -210,8 +203,8 @@ def test_methods_agree_larger_instance():
         frozenset(rng.sample(range(1, n + 1), rng.randint(1, 3))) for _ in range(t)
     ]
     for neg in ({1, 2}, {3, 4, 5}, set(range(1, n + 1))):
-        a = pattern_cohomology(supports, SignPattern(neg), n, method="matrix")
-        b = pattern_cohomology(supports, SignPattern(neg), n, method="nerve")
+        a = literal_pattern_cohomology(supports, SignPattern(neg), n)
+        b = pattern_cohomology(supports, SignPattern(neg), n)
         assert a.dims == b.dims, (supports, neg)
 
 

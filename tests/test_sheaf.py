@@ -194,7 +194,8 @@ def test_unvalidated_report_not_reused_by_validated_call():
 
 
 def test_degree0_failure_is_fan_error_and_not_cached():
+    # validation rejects the pseudo-fan; unvalidated, the degree-0 check must
     fan = parse_fan(PSEUDO_FAN_TEXT)
     for _ in range(2):
         with pytest.raises(FanError, match="degree-0"):
-            cohomology_of_U(fan)
+            cohomology_of_U(fan, validate=False)
