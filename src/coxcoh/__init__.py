@@ -22,7 +22,6 @@ from .grading import (
     GradingGroup,
     SignPattern,
     UnboundedRegionError,
-    enumerate_degrees,
     grading_group,
     match_degree_basis,
 )

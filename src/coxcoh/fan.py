@@ -28,11 +28,16 @@ class FanError(ValueError):
 
 @dataclass(frozen=True)
 class Fan:
-    """A complete simplicial fan given by its rays and maximal cones."""
+    """A complete simplicial fan given by its rays and maximal cones.
+
+    `cache` holds the state derived from this fan (its grading, its
+    validated cohomology report, the last Ext oracle stage); it lives and
+    dies with the object, and an equal Fan built anew starts empty."""
 
     dim: int
     rays: tuple  # tuple of tuples of ints, primitive generators
     max_cones: tuple  # tuple of tuples of 1-based ray indices, each of size dim
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_rays(self):

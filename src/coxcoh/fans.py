@@ -1,11 +1,11 @@
-"""Built-in fans: projective spaces, weighted projective spaces, and the two
-Fano blowup fans used throughout the test corpus."""
+"""Built-in fans: projective spaces and weighted projective spaces.  The two
+Fano blowup fans of the test corpus ship as files under fans/."""
 
 from __future__ import annotations
 
 from math import gcd
 
-from .fan import Fan, FanError, parse_fan
+from .fan import Fan, FanError
 from .snf import smith_normal_form
 
 
@@ -45,72 +45,3 @@ def weighted_projective_fan(weights):
     for skip in range(d + 1):
         cones.append(tuple(sorted(i + 1 for i in range(d + 1) if i != skip)))
     return Fan(dim=d, rays=tuple(rays), max_cones=tuple(cones))
-
-
-# Fano toric variety: blowup of P(1,1,1,3,3,6); 7 rays, 10 max cones in Z^5.
-BLOWUP_P11336_TEXT = """\
-# blowup of the weighted projective space P(1,1,1,3,3,6)
-dim 5
-rays 7
-1 0 0 0 0
-0 1 0 0 0
-0 0 1 0 0
-0 0 0 1 0
-0 0 0 0 1
-0 0 0 0 -1
--1 -1 -3 -3 -6
-maxcones 10
-1 2 3 4 5
-1 2 3 4 6
-1 2 3 6 7
-1 2 4 6 7
-1 3 4 6 7
-2 3 4 6 7
-1 2 3 5 7
-1 2 4 5 7
-1 3 4 5 7
-2 3 4 5 7
-"""
-
-# Fano toric variety from a maximal triangulation of a reflexive polytope:
-# blowup of P(1,1,2,2,3,6); 8 rays, 18 max cones in Z^5.
-BLOWUP_P112236_TEXT = """\
-# blowup of the weighted projective space P(1,1,2,2,3,6)
-dim 5
-rays 8
-1 0 0 0 0
-0 1 0 0 0
-0 0 1 0 0
-0 0 0 1 0
-0 0 0 0 1
-0 0 0 0 -1
-0 -1 -1 -1 -3
--1 -2 -2 -3 -6
-maxcones 18
-1 2 3 4 5
-1 2 3 4 6
-1 2 3 5 8
-1 2 3 6 8
-1 2 4 5 7
-1 2 4 6 7
-1 2 5 7 8
-1 2 6 7 8
-1 3 4 5 7
-1 3 4 6 7
-1 3 5 7 8
-1 3 6 7 8
-2 3 4 5 8
-2 3 4 6 8
-2 4 5 7 8
-2 4 6 7 8
-3 4 5 7 8
-3 4 6 7 8
-"""
-
-
-def blowup_p11336_fan():
-    return parse_fan(BLOWUP_P11336_TEXT)
-
-
-def blowup_p112236_fan():
-    return parse_fan(BLOWUP_P112236_TEXT)

@@ -298,14 +298,6 @@ def grading_group(fan):
     return GradingGroup(fan)
 
 
-def degree_of(grading, exponents):
-    return grading.degree_of(exponents)
-
-
-def enumerate_degrees(grading, alpha, pattern):
-    return grading.enumerate_degrees(alpha, pattern)
-
-
 def match_degree_basis(computed, target):
     """Integer unimodular matrix T with T*computed_i = target_i for every i,
     acting on the free parts, or None if there is none.  Torsion parts must

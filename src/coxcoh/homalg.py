@@ -301,6 +301,8 @@ def ext_presentation(i, m_module, n_module, order=GREVLEX, resolution=None):
 
 
 def box_around(n, radius):
+    if radius < 0:
+        raise ValueError("box radius must be >= 0, got %d" % radius)
     return [(-radius, radius)] * n
 
 

@@ -190,9 +190,6 @@ def _nerve_route_dims(supports, neg):
     return dims
 
 
-_pattern_memo = {}
-
-
 def pattern_cohomology(gens, pattern, n):
     """Limit cohomology dimensions of the coordinate ring in any fine degree
     with the given negative support; constant across such degrees.
@@ -202,13 +199,8 @@ def pattern_cohomology(gens, pattern, n):
     result_pattern = SignPattern(neg)
     if family is None:
         return SignPatternCohomology(result_pattern, {})
-    key = (tuple(supports), family)
-    cached = _pattern_memo.get(key)
-    if cached is not None:
-        return SignPatternCohomology(result_pattern, dict(cached))
     dims = _nerve_route_dims(supports, neg)
     _check_level_bounds(dims, len(supports), n)
-    _pattern_memo[key] = dict(dims)
     return SignPatternCohomology(result_pattern, dims)
 
 
@@ -236,9 +228,6 @@ def pattern_table(gens, n):
 # finite-stage Ext oracle
 # ---------------------------------------------------------------------------
 
-_oracle_cache = {}
-
-
 def bracket_power_module(gens, n, m):
     """S / <g^m for g in gens> as a presented module (bracket power:
     generatorwise m-th powers, not the ordinary ideal power)."""
@@ -252,8 +241,9 @@ def bracket_power_module(gens, n, m):
     return PresentedModule.quotient_by(polys, n)
 
 
-def ext_limit_oracle(fan_or_gens, m, p, box_radius=2, box=None):
-    """Hilbert function of Ext^p(S/<gens^m>, S) over the box.
+def ext_limit_oracle(fan, m, p, box_radius=2, box=None):
+    """Hilbert function of Ext^p(S/<gens^m>, S) over the box, where gens
+    generate the fan's irrelevant ideal.
 
     Degree convention: the fine grading is tracked through the resolution
     and its dual, so a class appears at its limit degree directly: at stage
@@ -262,34 +252,22 @@ def ext_limit_oracle(fan_or_gens, m, p, box_radius=2, box=None):
     is exactly what the resolution twists contribute.  Stabilized values can
     therefore be compared with pattern_cohomology with no further shifting:
     within a box of radius r the stage-m values agree with the limit for
-    m >= r, and the nonzero-degree sign patterns agree for every m >= 1."""
+    m >= r, and the nonzero-degree sign patterns agree for every m >= 1.
+
+    The fan keeps the last stage's module and resolution, so asking for
+    every p of one stage resolves once; no Hilbert table is kept."""
     if m < 1:
         raise ValueError("stage m must be >= 1")
-    if hasattr(fan_or_gens, "max_cones"):
-        gens = irrelevant_generators(fan_or_gens)
-        n = fan_or_gens.n_rays
-    else:
-        gens = list(fan_or_gens)
-        n = max(max(s) for s in _supports(gens))
-    supports = tuple(_supports(gens))
+    n = fan.n_rays
     if box is None:
         box = box_around(n, box_radius)
-    box = tuple((int(lo), int(hi)) for lo, hi in box)
-    hf_key = (supports, n, m, p, box)
-    cached = _oracle_cache.get(hf_key)
-    if cached is not None:
-        return dict(cached)
-    res_key = (supports, n, m)
-    res = _oracle_cache.get(res_key)
-    if res is None:
-        module = bracket_power_module(gens, n, m)
-        res = free_resolution(module)
-        _oracle_cache[res_key] = res
-    module = bracket_power_module(gens, n, m)
+    stage = fan.cache.get("ext_stage")
+    if stage is None or stage[0] != m:
+        module = bracket_power_module(irrelevant_generators(fan), n, m)
+        stage = fan.cache["ext_stage"] = (m, module, free_resolution(module))
+    _, module, res = stage
     ext = ext_presentation(p, module, PresentedModule.free(n), resolution=res)
-    hf = hilbert_function_box(ext, list(box))
-    _oracle_cache[hf_key] = dict(hf)
-    return hf
+    return hilbert_function_box(ext, list(box))
 
 
 def negative_support(degree):

@@ -32,22 +32,13 @@ class CohomologyReport:
         return [(pat, mult) for pat, mult in self.closed_forms.get(p, ()) if pat != "S"]
 
 
-_fan_cache = {}
-
-
-def _fan_key(fan):
-    return (fan.dim, fan.rays, fan.max_cones)
-
-
 def fan_grading(fan):
-    key = _fan_key(fan)
-    entry = _fan_cache.get(key)
-    if entry is None:
-        entry = {"grading": grading_group(fan)}
-        _fan_cache[key] = entry
-    elif "grading" not in entry:
-        entry["grading"] = grading_group(fan)
-    return entry["grading"]
+    """The grading group of the fan's coordinate ring, kept on the fan (it
+    depends only on the rays, so validation does not gate it)."""
+    grading = fan.cache.get("grading")
+    if grading is None:
+        grading = fan.cache["grading"] = grading_group(fan)
+    return grading
 
 
 ERRATUM_NOTE = (
@@ -59,25 +50,22 @@ ERRATUM_NOTE = (
 )
 
 
-def cohomology_of_U(fan, validate=True):
+def cohomology_of_U(fan):
     """Cohomology of the punctured cone over the toric variety, reported as
     sign-pattern cones with multiplicities (no per-degree table).
 
     Raises FanError when the fan fails validation or when h^p(O) is nonzero
-    or unbounded for some p > 0, which no complete fan allows."""
-    # only validated reports are cached, so a cached report never lets a
-    # later call skip a check it asked for
-    cache = _fan_cache.setdefault(_fan_key(fan), {})
-    cached = cache.get("report")
+    or unbounded for some p > 0, which no complete fan allows.  The report
+    is kept on the fan only once both checks have passed."""
+    cached = fan.cache.get("report")
     if cached is not None:
         return cached
-    if validate:
-        rep = validate_fan(fan)
-        if not rep.ok():
-            raise FanError(
-                "fan failed validation (simplicial=%s complete=%s): %s"
-                % (rep.simplicial, rep.complete, "; ".join(rep.messages))
-            )
+    rep = validate_fan(fan)
+    if not rep.ok():
+        raise FanError(
+            "fan failed validation (simplicial=%s complete=%s): %s"
+            % (rep.simplicial, rep.complete, "; ".join(rep.messages))
+        )
     n = fan.n_rays
     gens = irrelevant_generators(fan)
     table = pattern_table(gens, n)
@@ -125,8 +113,7 @@ def cohomology_of_U(fan, validate=True):
             "(p, h^p) = %s, which cannot happen on a complete fan" % (bad,)
         )
     notes.append("degree-0 consistency check passed: h^p(O) = 0 for p = 1..%d" % n)
-    if validate:
-        cache["report"] = report
+    fan.cache["report"] = report
     return report
 
 

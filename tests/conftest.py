@@ -9,14 +9,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from coxcoh.fans import (  # noqa: E402
-    blowup_p11336_fan,
-    blowup_p112236_fan,
-    projective_space_fan,
-    weighted_projective_fan,
-)
+from coxcoh.fan import parse_fan  # noqa: E402
+from coxcoh.fans import projective_space_fan, weighted_projective_fan  # noqa: E402
 from coxcoh.grading import GradingClass, grading_group, match_degree_basis  # noqa: E402
+from coxcoh.homalg import box_around  # noqa: E402
 from coxcoh.linalg import nullspace_rational, solve_rational  # noqa: E402
+from coxcoh.localcoh import ext_limit_oracle  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FANS_DIR = REPO_ROOT / "fans"
@@ -164,12 +162,28 @@ def p112_fan():
 
 @pytest.fixture(scope="session")
 def fano7_fan():
-    return blowup_p11336_fan()
+    return parse_fan((FANS_DIR / "blowup_p11336.fan").read_text())
 
 
 @pytest.fixture(scope="session")
 def fano8_fan():
-    return blowup_p112236_fan()
+    return parse_fan((FANS_DIR / "blowup_p112236.fan").read_text())
+
+
+@pytest.fixture(scope="session")
+def stage1_ext_table():
+    """table(fan, p): the stage-1 Ext^p Hilbert table on the radius-2 box,
+    computed once per session; several acceptance criteria read the same
+    fano7 and fano8 tables, and each one takes seconds."""
+    tables = {}
+
+    def table(fan, p):
+        key = (fan, p)
+        if key not in tables:
+            tables[key] = ext_limit_oracle(fan, 1, p, box=box_around(fan.n_rays, 2))
+        return tables[key]
+
+    return table
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from coxcoh.homalg import (
     presented_is_zero,
 )
 from coxcoh.koszul import KoszulComplex, generates_unit_ideal, is_regular_sequence, self_duality_check
-from coxcoh.localcoh import ext_limit_oracle, negative_support, pattern_table
+from coxcoh.localcoh import negative_support, pattern_table
 from coxcoh.ring import FreeModuleElement, Poly
 from coxcoh.sheaf import cohomology_of_U, fan_grading, sheaf_cohomology_dim
 
@@ -98,7 +98,7 @@ def fano7_resolution(fano7_fan):
     return module, free_resolution(module)
 
 
-def test_criterion_2_ext_oracle_stage_1(fano7_fan, fano7_resolution):
+def test_criterion_2_ext_oracle_stage_1(fano7_fan, fano7_resolution, stage1_ext_table):
     t0 = time.time()
     n = fano7_fan.n_rays
     module, res = fano7_resolution
@@ -112,7 +112,7 @@ def test_criterion_2_ext_oracle_stage_1(fano7_fan, fano7_resolution):
         6: hilbert_function_box(twisted_quotient(n, {1, 2, 3, 4, 5, 6, 7}), box),
     }
     for p, want in expected.items():
-        got = ext_limit_oracle(fano7_fan, 1, p, box=box)
+        got = stage1_ext_table(fano7_fan, p)
         if want is None:
             assert not any(got.values()), "Ext^%d should vanish" % p
         else:
@@ -155,7 +155,7 @@ def test_criterion_3_limit_pattern_table(fano7_fan):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_4_second_fano_reproduction(fano8_fan):
+def test_criterion_4_second_fano_reproduction(fano8_fan, stage1_ext_table):
     t0 = time.time()
     n = fano8_fan.n_rays
     gens = irrelevant_generators(fano8_fan)
@@ -178,7 +178,7 @@ def test_criterion_4_second_fano_reproduction(fano8_fan):
         6: hilbert_function_box(twisted_quotient(n, {1, 2, 3, 4, 5, 6, 7, 8}), box),
     }
     for p, want in expected.items():
-        got = ext_limit_oracle(fano8_fan, 1, p, box=box)
+        got = stage1_ext_table(fano8_fan, p)
         assert got == want, "Ext^%d Hilbert mismatch" % p
 
     table = [(e.pattern.as_sorted(), e.dims) for e in pattern_table(gens, n)]
@@ -317,7 +317,7 @@ def test_criterion_6_groebner_syzygy_suite():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_7_oracle_agreement(fano7_fan, fano8_fan):
+def test_criterion_7_oracle_agreement(fano7_fan, fano8_fan, stage1_ext_table):
     t0 = time.time()
     fans = [projective_space_fan(2), fano7_fan, fano8_fan]
     for fan in fans:
@@ -328,7 +328,7 @@ def test_criterion_7_oracle_agreement(fano7_fan, fano8_fan):
             for p, _mult in entry.dims.items():
                 predicted.setdefault(p, set()).add(entry.pattern.as_sorted())
         for p in range(1, n):
-            hf = ext_limit_oracle(fan, 1, p, box_radius=2)
+            hf = stage1_ext_table(fan, p)
             got = {tuple(sorted(negative_support(d))) for d, v in hf.items() if v}
             assert got == predicted.get(p, set()), (fan.summary(), p, got)
     elapsed = time.time() - t0

@@ -119,6 +119,24 @@ def test_ext_oracle_json(capsys):
     assert doc["hilbert"] == [{"degree": [-1, -1, -1], "dim": 1}]
 
 
+def test_ext_oracle_negative_box_radius_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "ext-oracle", str(FANS_DIR / "p2.fan"), "--p", "3", "--box-radius", "-1", "--json"
+    )
+    assert code == 1
+    assert out == ""
+    assert "box radius" in err
+
+
+def test_koszul_check_negative_box_radius_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "koszul-check", str(FANS_DIR / "p1.fan"), "--box-radius", "-2", "--json"
+    )
+    assert code == 1
+    assert out == ""
+    assert "box radius" in err
+
+
 @pytest.mark.parametrize("value", ["0", "1", "4", "101", "3000000019"])
 def test_modp_not_a_usable_prime_is_usage_error(value, capsys):
     # ranks are exact only; the mod-p backend and its option are gone

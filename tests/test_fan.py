@@ -3,8 +3,6 @@ import random
 import pytest
 
 from coxcoh.fan import FanError, emit_fan, irrelevant_generators, parse_fan, validate_fan
-from coxcoh.fans import BLOWUP_P11336_TEXT, BLOWUP_P112236_TEXT
-
 from conftest import FANO7_IDEAL, FANO8_IDEAL, FANS_DIR, PSEUDO_FAN_TEXT
 
 P1_TEXT = "dim 1\nrays 2\n1\n-1\nmaxcones 2\n1\n2\n"
@@ -18,9 +16,9 @@ def test_parse_p1():
 
 
 def test_parse_example_fan_shapes():
-    f2 = parse_fan(BLOWUP_P11336_TEXT)
+    f2 = parse_fan((FANS_DIR / "blowup_p11336.fan").read_text())
     assert (f2.dim, f2.n_rays, len(f2.max_cones)) == (5, 7, 10)
-    f3 = parse_fan(BLOWUP_P112236_TEXT)
+    f3 = parse_fan((FANS_DIR / "blowup_p112236.fan").read_text())
     assert (f3.dim, f3.n_rays, len(f3.max_cones)) == (5, 8, 18)
 
 
@@ -109,7 +107,7 @@ def test_complete_implies_wall_on_examples(fano7_fan, fano8_fan):
 def test_printed_cone_variant_fails_validation():
     # the as-printed 16th cone (2 3 6 7 8) breaks the wall condition; the
     # shipped fan uses the corrected cone (2 4 6 7 8)
-    text = BLOWUP_P112236_TEXT.replace("2 4 6 7 8", "2 3 6 7 8")
+    text = (FANS_DIR / "blowup_p112236.fan").read_text().replace("2 4 6 7 8", "2 3 6 7 8")
     rep = validate_fan(parse_fan(text))
     assert rep.wall_condition is False and rep.complete is False
 

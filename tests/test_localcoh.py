@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import coxcoh.localcoh as localcoh
 from coxcoh.fan import irrelevant_generators
+from coxcoh.fans import projective_space_fan
 from coxcoh.grading import SignPattern
 from coxcoh.homalg import PresentedModule, hilbert_function_box, box_around
 from coxcoh.localcoh import (
@@ -116,31 +119,6 @@ def test_pattern_outside_union_is_zero():
     assert pattern_cohomology([frozenset({1})], SignPattern({1}), 1).dims == {1: 1}
 
 
-def test_canonical_family_memoization(fano7_fan):
-    gens = irrelevant_generators(fano7_fan)
-    localcoh._pattern_memo.clear()
-    pattern_cohomology(gens, SignPattern({5, 6}), 7)
-    size_after_first = len(localcoh._pattern_memo)
-    # {5, 6} and {5, 6} with an added variable covered by every generator
-    # share the canonical family with nothing here, so recompute count grows
-    pattern_cohomology(gens, SignPattern({5, 6}), 7)
-    assert len(localcoh._pattern_memo) == size_after_first
-
-
-def test_representative_independence_structural(fano7_fan):
-    # two degrees with equal negative support induce the same canonical key,
-    # hence the same cached computation
-    gens = irrelevant_generators(fano7_fan)
-    a = (-1, 0, 0, 0, -2, -3, 4)
-    b = (-5, 0, 0, 0, -1, -1, 0)
-    assert negative_support(a) == negative_support(b) == frozenset({1, 5, 6})
-    localcoh._pattern_memo.clear()
-    pattern_cohomology(gens, SignPattern(negative_support(a)), 7)
-    n_keys = len(localcoh._pattern_memo)
-    pattern_cohomology(gens, SignPattern(negative_support(b)), 7)
-    assert len(localcoh._pattern_memo) == n_keys
-
-
 def test_bracket_power_module():
     gens = [frozenset({1, 2})]
     M = bracket_power_module(gens, 2, 3)
@@ -163,6 +141,28 @@ def test_ext_oracle_fano7(fano7_fan):
         shift=shift,
     )
     assert hf2 == hilbert_function_box(expected, box_around(n, 1))
+
+
+def test_ext_oracle_keeps_one_stage_and_frees_it_with_the_fan(monkeypatch):
+    resolutions = []
+    original = localcoh.free_resolution
+
+    def tracked(module, *args, **kwargs):
+        res = original(module, *args, **kwargs)
+        resolutions.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(localcoh, "free_resolution", tracked)
+    fan = projective_space_fan(2)
+    for p in range(4):
+        ext_limit_oracle(fan, 1, p, box_radius=1)
+    assert len(resolutions) == 1  # every p of one stage shares its resolution
+    ext_limit_oracle(fan, 2, 3, box_radius=1)
+    gc.collect()
+    assert len(resolutions) == 2 and resolutions[0]() is None  # only the last stage stays
+    del fan
+    gc.collect()
+    assert resolutions[1]() is None
 
 
 def test_oracle_agreement_small_fans(p1_fan, p2_fan):
@@ -221,15 +221,14 @@ def test_oracle_stabilizes_on_the_box(p1_fan, p2_fan):
 
 
 def test_pattern_sweep_thread_safe(fano7_fan):
-    # pattern computations are pure and memoized; a concurrent sweep must
-    # agree with the serial one
+    # pattern computations are pure; a concurrent sweep must agree with the
+    # serial one
     from concurrent.futures import ThreadPoolExecutor
 
     gens = irrelevant_generators(fano7_fan)
     serial = {
         pat.as_sorted(): pattern_cohomology(gens, pat, 7).dims for pat in all_patterns(7)
     }
-    localcoh._pattern_memo.clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(
             pool.map(lambda pat: (pat.as_sorted(), pattern_cohomology(gens, pat, 7).dims),

@@ -1,9 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from coxcoh import grading
-from coxcoh.fan import FanError, parse_fan
+from coxcoh import grading, sheaf
+from coxcoh.fan import FanError, FanReport, parse_fan
 from coxcoh.fans import projective_space_fan
 from coxcoh.grading import SignPattern
 from coxcoh.sheaf import (
@@ -150,7 +152,6 @@ def test_cohomology_dim_never_materialises_points(monkeypatch, fano8_fan):
         raise AssertionError("enumerate_degrees called on the counting route")
 
     monkeypatch.setattr(grading.GradingGroup, "enumerate_degrees", refuse)
-    monkeypatch.setattr(grading, "enumerate_degrees", refuse)
     # a fan new to the process also runs the degree-0 check under the patch
     p3 = projective_space_fan(3)
     rep = cohomology_of_U(p3)
@@ -185,17 +186,21 @@ def test_torsion_fan_dimensions():
             assert sheaf_cohomology_dim(fan, alpha, 1) == 0
 
 
-def test_unvalidated_report_not_reused_by_validated_call():
-    fan = parse_fan("dim 1\nrays 2\n1\n-1\nmaxcones 2\n1\n2\n")
-    broken = type(fan)(dim=1, rays=fan.rays, max_cones=(fan.max_cones[0],))
-    cohomology_of_U(broken, validate=False)
-    with pytest.raises(FanError):
-        cohomology_of_U(broken)
-
-
-def test_degree0_failure_is_fan_error_and_not_cached():
-    # validation rejects the pseudo-fan; unvalidated, the degree-0 check must
+def test_degree0_failure_is_fan_error_and_not_cached(monkeypatch):
+    # validation rejects the pseudo-fan; past validation, the degree-0 check must
+    monkeypatch.setattr(sheaf, "validate_fan", lambda fan: FanReport(True, True, True))
     fan = parse_fan(PSEUDO_FAN_TEXT)
     for _ in range(2):
         with pytest.raises(FanError, match="degree-0"):
-            cohomology_of_U(fan, validate=False)
+            cohomology_of_U(fan)
+
+
+def test_derived_state_is_freed_with_its_fan():
+    fan = parse_fan(TORSION_FAN_TEXT)
+    grading_ref = weakref.ref(fan_grading(fan))
+    report_ref = weakref.ref(cohomology_of_U(fan))
+    # an equal fan built anew computes its own state
+    assert cohomology_of_U(parse_fan(TORSION_FAN_TEXT)) is not report_ref()
+    del fan
+    gc.collect()
+    assert grading_ref() is None and report_ref() is None
