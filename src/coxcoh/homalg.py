@@ -12,13 +12,12 @@ e_j to e_i sits at flat index j*k + i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from .groebner import GREVLEX, buchberger, divide, kernel_of_quotient_map, syzygy
-from .linalg import rational_rank
+from .linalg import sparse_rank_exact
 from .ring import FreeModuleElement, Poly, RingError
 
 
@@ -93,7 +92,7 @@ def minimal_generators(vectors, ambient_shifts=None, order=GREVLEX):
 
     ordered = sorted(vectors, key=sort_key)
     rank, n = ordered[0].rank, ordered[0].n
-    worker = _Worker(rank, n, order, track=False)
+    worker = _Worker(rank, n, order)
     kept = []
     for v in ordered:
         if worker.add(v):
@@ -165,7 +164,7 @@ def presented_is_zero(module, order=GREVLEX):
     gb = buchberger(module.relations, order)
     for i in range(module.ambient_rank):
         e = FreeModuleElement.unit(module.ambient_rank, module.n, i)
-        _, r = divide(e, gb.generators, order)
+        _, r = divide(e, gb.generators, order, gb.flat)
         if not r.is_zero():
             return False
     return True
@@ -215,7 +214,7 @@ def _precompose_columns(phi_cols, b, k, n):
             for s in range(a):
                 val = phi_cols[s].entries[j]
                 if not val.is_zero():
-                    entries[s * k + i] = entries[s * k + i] + val
+                    entries[s * k + i] = val
             out.append(FreeModuleElement(a * k, n, entries))
     return out
 
@@ -230,7 +229,7 @@ def _postcompose_columns(beta_cols, p, k, n):
             for i in range(k):
                 val = col.entries[i]
                 if not val.is_zero():
-                    entries[j * k + i] = entries[j * k + i] + val
+                    entries[j * k + i] = val
             out.append(FreeModuleElement(p * k, n, entries))
     return out
 
@@ -300,69 +299,96 @@ def ext_presentation(i, m_module, n_module, order=GREVLEX, resolution=None):
 # ---------------------------------------------------------------------------
 
 
+# the largest box a Hilbert table may cover; fano8 at radius 2 has 390,625
+MAX_BOX_DEGREES = 2**20
+
+
+def check_box_size(box):
+    """Refuse a box of more than MAX_BOX_DEGREES degrees, so that callers
+    can check before anything is resolved or materialised."""
+    size = 1
+    for lo, hi in box:
+        size *= max(0, hi - lo + 1)
+    if size > MAX_BOX_DEGREES:
+        raise HomalgError(
+            "box of %d degrees exceeds the limit of %d degrees" % (size, MAX_BOX_DEGREES)
+        )
+
+
 def box_around(n, radius):
     if radius < 0:
         raise ValueError("box radius must be >= 0, got %d" % radius)
-    return [(-radius, radius)] * n
+    box = [(-radius, radius)] * n
+    check_box_size(box)
+    return box
+
+
+def _threshold_bits(box, thresholds):
+    """Packed bit rows over the box (in product order): bit i of a degree d
+    is set iff d >= thresholds[i] in every coordinate.
+
+    Each coordinate contributes a table over its own range; the rows are
+    the AND of those tables broadcast over the grid."""
+    n = len(box)
+    acc = None
+    for t, (lo, hi) in enumerate(box):
+        values = np.arange(lo, hi + 1, dtype=np.int64)
+        table = np.packbits(values[:, None] >= thresholds[None, :, t], axis=1)
+        shape = [1] * n + [table.shape[1]]
+        shape[t] = len(values)
+        table = table.reshape(shape)
+        acc = table if acc is None else acc & table
+    return acc.reshape(int(np.prod(acc.shape[:-1])), acc.shape[-1])
 
 
 def hilbert_function_box(module, box):
     """Exact dimensions of the fine-graded pieces over all degrees in the box.
 
     box is a list of n (lo, hi) pairs; returns {degree tuple: dimension}
-    including zero entries.  Requires a graded presentation."""
+    including zero entries.  Requires a graded presentation.
+
+    The dimension at d is the number of ambient slots at or below d minus
+    the rank of the relation coefficients among them; it depends only on
+    which slots and which relations sit at or below d, so each distinct
+    (slot set, relation set) pair is ranked once."""
     if not module.is_graded():
         raise HomalgError("ungraded presentation")
     n = module.n
     if len(box) != n:
         raise HomalgError("box has wrong dimension")
-    degrees = [tuple(d) for d in product(*(range(lo, hi + 1) for lo, hi in box))]
+    check_box_size(box)
+    degrees = list(product(*(range(lo, hi + 1) for lo, hi in box)))
     r = module.ambient_rank
-    if r == 0:
-        return {d: 0 for d in degrees}
+    if r == 0 or not degrees:
+        return dict.fromkeys(degrees, 0)
     shifts = np.array(module.shifts, dtype=np.int64).reshape(r, n)
     rels = module.relations
     m = len(rels)
-    out = {}
-    grid = np.array(degrees, dtype=np.int64).reshape(len(degrees), n)
-    slot_mask = np.ones((len(degrees), r), dtype=bool)
-    for j in range(n):
-        slot_mask &= grid[:, j : j + 1] >= shifts[:, j][None, :]
-    if m == 0:
-        counts = slot_mask.sum(axis=1)
-        return {d: int(c) for d, c in zip(degrees, counts)}
+    slot_bits = _threshold_bits(box, shifts)
     rel_degs = np.array(module.relation_degrees(), dtype=np.int64).reshape(m, n)
-    act_mask = np.ones((len(degrees), m), dtype=bool)
-    for j in range(n):
-        act_mask &= grid[:, j : j + 1] >= rel_degs[:, j][None, :]
-    # coefficient of the relation column j at ambient slot i is independent of
-    # the degree: it is the coefficient of x^(reldeg_j - shift_i) in entry i
-    coeff = [[Fraction(0)] * m for _ in range(r)]
-    for j, rel in enumerate(rels):
-        dj = rel_degs[j]
-        for i in range(r):
-            e = tuple(int(dj[t]) - int(shifts[i][t]) for t in range(n))
-            if all(x >= 0 for x in e):
-                coeff[i][j] = rel.entries[i].terms.get(e, Fraction(0))
-    rank_cache = {}
-    slot_counts = slot_mask.sum(axis=1)
-    act_counts = act_mask.sum(axis=1)
-    for idx, d in enumerate(degrees):
-        nslots = int(slot_counts[idx])
-        if nslots == 0:
-            out[d] = 0
-            continue
-        if int(act_counts[idx]) == 0:
-            out[d] = nslots
-            continue
-        skey = slot_mask[idx].tobytes()
-        akey = act_mask[idx].tobytes()
-        key = (skey, akey)
-        rank = rank_cache.get(key)
-        if rank is None:
-            rows = [i for i in range(r) if slot_mask[idx][i]]
-            cols = [j for j in range(m) if act_mask[idx][j]]
-            rank = rational_rank([[coeff[i][j] for j in cols] for i in rows])
-            rank_cache[key] = rank
-        out[d] = nslots - rank
-    return out
+    act_bits = _threshold_bits(box, rel_degs)
+    width = slot_bits.shape[1]
+    bits = np.ascontiguousarray(np.hstack([slot_bits, act_bits]))
+    del slot_bits, act_bits
+    # one opaque value per row: a 1-D unique sorts these much faster than rows
+    rows = bits.view(np.dtype((np.void, bits.shape[1]))).reshape(-1)
+    keys, inverse = np.unique(rows, return_inverse=True)
+    del bits, rows
+    # a homogeneous relation has one term per nonzero entry i, sitting at
+    # slot i in every degree where the relation is active (slot i is then
+    # at or below that degree too)
+    columns = []
+    for rel in rels:
+        col = {}
+        for i, entry in enumerate(rel.entries):
+            for c in entry.terms.values():
+                col[i] = int(c) if c.denominator == 1 else c
+        columns.append(col)
+    dims = []
+    for key in keys:
+        key = np.frombuffer(key.tobytes(), dtype=np.uint8)
+        nslots = int(np.unpackbits(key[:width], count=r).sum())
+        active = np.flatnonzero(np.unpackbits(key[width:], count=m))
+        dims.append(nslots - sparse_rank_exact(columns[j] for j in active.tolist()))
+    values = np.array(dims, dtype=np.int64)[inverse.reshape(-1)]
+    return dict(zip(degrees, values.tolist()))

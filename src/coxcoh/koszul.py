@@ -176,7 +176,7 @@ def generates_unit_ideal(elements, order=GREVLEX):
         return False
     gb = buchberger(vecs, order)
     one = FreeModuleElement.from_poly(Poly.const(elements[0].n, 1))
-    _, r = divide(one, gb.generators, order)
+    _, r = divide(one, gb.generators, order, gb.flat)
     return r.is_zero()
 
 
@@ -196,8 +196,8 @@ def is_regular_sequence(elements, module, order=GREVLEX):
 
 def self_duality_check(elements, module, p, box_radius=3, order=GREVLEX):
     """Compare graded Hilbert functions of H_p and H^(d-p) on a box."""
-    complex_ = KoszulComplex(elements, module, order)
     box = box_around(module.n, box_radius)
+    complex_ = KoszulComplex(elements, module, order)
     h_low = hilbert_function_box(complex_.homology(p), box)
     h_high = hilbert_function_box(complex_.cohomology(complex_.d - p), box)
     return h_low == h_high

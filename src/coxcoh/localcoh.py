@@ -26,6 +26,7 @@ from .grading import SignPattern
 from .homalg import (
     PresentedModule,
     box_around,
+    check_box_size,
     ext_presentation,
     free_resolution,
     hilbert_function_box,
@@ -261,6 +262,8 @@ def ext_limit_oracle(fan, m, p, box_radius=2, box=None):
     n = fan.n_rays
     if box is None:
         box = box_around(n, box_radius)
+    else:
+        check_box_size(box)
     stage = fan.cache.get("ext_stage")
     if stage is None or stage[0] != m:
         module = bracket_power_module(irrelevant_generators(fan), n, m)

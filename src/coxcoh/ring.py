@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 MAX_VARS = 64
 MAX_EXPONENT = 2**31 - 1
@@ -18,9 +19,9 @@ class RingError(ValueError):
     pass
 
 
-def _check_exponent(e):
-    if e > MAX_EXPONENT:
-        raise RingError("exponent overflow: %d" % e)
+def _check_exponents(e):
+    if e and max(e) > MAX_EXPONENT:
+        raise RingError("exponent overflow: %d" % max(e))
     return e
 
 
@@ -104,15 +105,19 @@ class Poly:
         return out
 
     def mono_mul(self, exponents, coeff=1):
-        """Multiply by coeff * x^exponents."""
-        coeff = Fraction(coeff)
+        """Multiply by coeff * x^exponents; a unit coefficient is copied."""
         out = Poly(self.n)
         if not coeff:
             return out
         exponents = tuple(exponents)
-        for e, c in self.terms.items():
-            ne = tuple(_check_exponent(a + b) for a, b in zip(e, exponents))
-            out.terms[ne] = coeff * c
+        terms = out.terms
+        if coeff == 1:
+            for e, c in self.terms.items():
+                terms[_check_exponents(tuple(map(add, e, exponents)))] = c
+        else:
+            coeff = Fraction(coeff)
+            for e, c in self.terms.items():
+                terms[_check_exponents(tuple(map(add, e, exponents)))] = coeff * c
         return out
 
     def __mul__(self, other):
@@ -124,7 +129,7 @@ class Poly:
         terms = out.terms
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                ne = tuple(_check_exponent(a + b) for a, b in zip(e1, e2))
+                ne = _check_exponents(tuple(map(add, e1, e2)))
                 nc = terms.get(ne, 0) + c1 * c2
                 if nc:
                     terms[ne] = nc

@@ -137,6 +137,32 @@ def test_koszul_check_negative_box_radius_is_domain_error(capsys):
     assert "box radius" in err
 
 
+def test_ext_oracle_oversized_box_is_domain_error(monkeypatch, capsys):
+    # radius 100 on P^2 is 201^3 degrees, over the 2^20 limit: refused
+    # before the module is resolved
+    from coxcoh import localcoh
+
+    def no_resolution(*args, **kwargs):
+        raise AssertionError("resolved an oversized box")
+
+    monkeypatch.setattr(localcoh, "free_resolution", no_resolution)
+    code, out, err = run_cli(
+        capsys, "ext-oracle", str(FANS_DIR / "p2.fan"), "--p", "3", "--box-radius", "100", "--json"
+    )
+    assert code == 1
+    assert out == ""
+    assert "8120601 degrees exceeds the limit of 1048576" in err
+
+
+def test_koszul_check_oversized_box_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "koszul-check", str(FANS_DIR / "p1.fan"), "--box-radius", "1000", "--json"
+    )
+    assert code == 1
+    assert out == ""
+    assert "4004001 degrees exceeds the limit" in err
+
+
 @pytest.mark.parametrize("value", ["0", "1", "4", "101", "3000000019"])
 def test_modp_not_a_usable_prime_is_usage_error(value, capsys):
     # ranks are exact only; the mod-p backend and its option are gone

@@ -86,35 +86,62 @@ def test_divide_examples():
     assert r.is_zero() and q[0] == parse_poly("x3", 3) and q[1].is_zero()
 
 
+def random_module_terms(rng, n, rank, count, maxdeg):
+    return [
+        (rng.randrange(rank), tuple(rng.randint(0, maxdeg) for _ in range(n)))
+        for _ in range(count)
+    ]
+
+
 def test_divide_contract_randomized():
-    rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randint(1, 3)
-        f = rv("0", n)
-        for _ in range(rng.randint(1, 4)):
-            e = tuple(rng.randint(0, 3) for _ in range(n))
-            f = f + FreeModuleElement(1, n, [Poly.monomial(n, e, rng.randint(-3, 3))])
-        basis = []
-        for _ in range(rng.randint(1, 3)):
-            e = tuple(rng.randint(0, 2) for _ in range(n))
-            basis.append(FreeModuleElement(1, n, [Poly.monomial(n, e, rng.randint(1, 2))]))
-        q, r = divide(f, basis, GREVLEX)
-        recomposed = r
-        for qq, g in zip(q, basis):
-            recomposed = recomposed + g.poly_mul(qq)
-        assert recomposed == f
-        # no remainder term divisible by a basis lead
-        for g in basis:
-            pos, exp, _ = _lead(g, GREVLEX)
-            for rpos, rexp, _ in r.iter_terms():
-                assert not (rpos == pos and all(x <= y for x, y in zip(exp, rexp)))
-        # lm(q_i g_i) <= lm(f)
-        if not f.is_zero():
-            fkey = GREVLEX.term_key(_lead(f, GREVLEX)[:2])
+    # both orders, on the ring and on rank-2 modules (position over term)
+    for order, rank in ((GREVLEX, 1), (LEX, 1), (GREVLEX, 2), (LEX, 2)):
+        rng = random.Random(7 + 10 * rank + (order is LEX))
+        for _ in range(50):
+            n = rng.randint(1, 3)
+            f = FreeModuleElement(rank, n)
+            for pos, e in random_module_terms(rng, n, rank, rng.randint(1, 4), 3):
+                term = Poly.monomial(n, e, rng.randint(-3, 3))
+                f = f + FreeModuleElement.unit(rank, n, pos, term)
+            basis = []
+            for _ in range(rng.randint(1, 3)):
+                g = FreeModuleElement(rank, n)
+                # leads with coefficient 1 and 2, and tails that reach other positions
+                for pos, e in random_module_terms(rng, n, rank, rng.randint(1, 2), 2):
+                    term = Poly.monomial(n, e, rng.randint(1, 2))
+                    g = g + FreeModuleElement.unit(rank, n, pos, term)
+                basis.append(g)
+            q, r = divide(f, basis, order)
+            recomposed = r
             for qq, g in zip(q, basis):
-                if not qq.is_zero():
-                    prod = g.poly_mul(qq)
-                    assert GREVLEX.term_key(_lead(prod, GREVLEX)[:2]) <= fkey
+                recomposed = recomposed + g.poly_mul(qq)
+            assert recomposed == f
+            # no remainder term divisible by a basis lead
+            for g in basis:
+                if g.is_zero():
+                    continue
+                pos, exp, _ = _lead(g, order)
+                for rpos, rexp, _ in r.iter_terms():
+                    assert not (rpos == pos and all(x <= y for x, y in zip(exp, rexp)))
+            # lm(q_i g_i) <= lm(f)
+            if not f.is_zero():
+                fkey = order.term_key(_lead(f, order)[:2])
+                for qq, g in zip(q, basis):
+                    if not qq.is_zero():
+                        prod = g.poly_mul(qq)
+                        assert order.term_key(_lead(prod, order)[:2]) <= fkey
+
+
+def test_heap_key_sorts_as_term_key():
+    rng = random.Random(19)
+    for order in (GREVLEX, LEX):
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            terms = list(set(random_module_terms(rng, n, rng.randint(1, 3), 40, 3)))
+            by_heap = sorted(terms, key=order.heap_key)
+            assert by_heap == sorted(terms, key=order.term_key, reverse=True)
+            # distinct terms get distinct keys, so a heap never ties
+            assert len({order.heap_key(t) for t in terms}) == len(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +378,39 @@ def test_kernel_of_quotient_map_examples():
     gb = buchberger(k)
     assert membership(rv("x2", 2), gb)
     assert not membership(rv("1", 2), gb)
+
+
+def test_transformation_matrices_at_oracle_scale(fano7_fan):
+    # systems from fano7's stage-1 Ext oracle, far larger than the random
+    # ones above: the level-2 columns of the resolution (25 sources of rank
+    # 10), and the dual of d_3 whose kernel gives Ext^3 (30 sources of rank
+    # 20), where S-pairs add generators with several source coordinates
+    from coxcoh.fan import irrelevant_generators
+    from coxcoh.homalg import PresentedModule, _precompose_columns, free_resolution
+
+    n = fano7_fan.n_rays
+    gens = irrelevant_generators(fano7_fan)
+    res = free_resolution(PresentedModule.quotient_by([g.as_poly(n) for g in gens], n))
+    systems = [res.differentials[1], _precompose_columns(res.differentials[3], 30, 1, n)]
+    assert [(len(fs), fs[0].rank) for fs in systems] == [(25, 10), (30, 20)]
+    for fs in systems:
+        gb = buchberger(fs)
+        G, A, B = gb.generators, gb.a_matrix, gb.b_matrix
+        assert len(A) == len(G) and all(len(row) == len(fs) for row in A)
+        assert len(B) == len(fs) and all(len(row) == len(G) for row in B)
+        for j, f in enumerate(fs):
+            acc = FreeModuleElement(f.rank, n)
+            for i, g in enumerate(G):
+                acc = acc + g.poly_mul(A[i][j])
+            assert acc == f
+        for k, g in enumerate(G):
+            acc = FreeModuleElement(g.rank, n)
+            for i, f in enumerate(fs):
+                acc = acc + f.poly_mul(B[i][k])
+            assert acc == g
+    # the second system really combines sources
+    assert len(G) > len(fs)
+    assert sum(1 for k in range(len(G)) if sum(1 for row in B if row[k]) > 1) >= 6
 
 
 def test_fano7_ideal_is_self_groebner(fano7_fan):

@@ -170,6 +170,52 @@ def test_hilbert_function_examples():
     assert hf == {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1}
 
 
+def test_hilbert_function_matches_degreewise_rank():
+    # each degree on its own: the ambient monomials at d minus the rank of
+    # the relations multiplied up to d, with rows read off the products
+    from itertools import product
+
+    from test_groebner import gauss_rank
+
+    rng = random.Random(41)
+    for _ in range(30):
+        n, rank = rng.randint(1, 3), rng.randint(1, 3)
+        shifts = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rank)]
+        rels = []
+        for _ in range(rng.randint(0, 4)):
+            deg = tuple(max(s) + rng.randint(0, 2) for s in zip(*shifts))
+            entries = [Poly.zero(n) for _ in range(rank)]
+            for i in rng.sample(range(rank), rng.randint(1, rank)):
+                exp = tuple(a - b for a, b in zip(deg, shifts[i]))
+                entries[i] = Poly.monomial(n, exp, rng.choice([-2, -1, 1, 3]))
+            rels.append(FreeModuleElement(rank, n, entries))
+        M = PresentedModule(rank, n, rels, shifts)
+        box = [(-2, 2)] * n
+        hf = hilbert_function_box(M, box)
+        assert list(hf) == list(product(range(-2, 3), repeat=n))
+        for d in hf:
+            slots = [i for i in range(rank) if all(a >= b for a, b in zip(d, shifts[i]))]
+            rows = []
+            for rel, rdeg in zip(rels, M.relation_degrees()):
+                up = tuple(a - b for a, b in zip(d, rdeg))
+                if min(up) >= 0:
+                    v = rel.mono_mul(up)
+                    rows.append(
+                        [v.entries[i].terms.get(tuple(a - b for a, b in zip(d, shifts[i])), 0)
+                         for i in slots]
+                    )
+            assert hf[d] == len(slots) - (gauss_rank(rows) if rows and slots else 0), (M, d)
+
+
+def test_box_size_limit():
+    assert len(box_around(8, 2)) == 8  # fano8 at radius 2: 390,625 degrees
+    assert box_around(2, 511) == [(-511, 511)] * 2  # 1023^2 <= 2^20
+    with pytest.raises(HomalgError, match="1050625 degrees exceeds"):
+        box_around(2, 512)
+    with pytest.raises(HomalgError, match="exceeds the limit"):
+        hilbert_function_box(PresentedModule.free(1), [(0, 2**20)])
+
+
 def test_hilbert_function_quotient_boxes(fano7_fan):
     n = fano7_fan.n_rays
     M = quotient(n, "x5", "x6")

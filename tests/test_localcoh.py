@@ -3,11 +3,13 @@ import random
 import weakref
 from itertools import combinations
 
+import pytest
+
 import coxcoh.localcoh as localcoh
 from coxcoh.fan import irrelevant_generators
 from coxcoh.fans import projective_space_fan
 from coxcoh.grading import SignPattern
-from coxcoh.homalg import PresentedModule, hilbert_function_box, box_around
+from coxcoh.homalg import HomalgError, PresentedModule, hilbert_function_box, box_around
 from coxcoh.localcoh import (
     all_patterns,
     bracket_power_module,
@@ -163,6 +165,17 @@ def test_ext_oracle_keeps_one_stage_and_frees_it_with_the_fan(monkeypatch):
     del fan
     gc.collect()
     assert resolutions[1]() is None
+
+
+def test_ext_oracle_refuses_oversized_box_before_resolving(monkeypatch):
+    def no_resolution(*args, **kwargs):
+        raise AssertionError("resolved an oversized box")
+
+    monkeypatch.setattr(localcoh, "free_resolution", no_resolution)
+    fan = projective_space_fan(2)
+    for kwargs in ({"box_radius": 100}, {"box": [(-100, 100)] * 3}):
+        with pytest.raises(HomalgError, match="8120601 degrees exceeds"):
+            ext_limit_oracle(fan, 1, 3, **kwargs)
 
 
 def test_oracle_agreement_small_fans(p1_fan, p2_fan):

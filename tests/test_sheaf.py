@@ -16,7 +16,7 @@ from coxcoh.sheaf import (
     sheaf_cohomology_dim,
 )
 
-from conftest import PSEUDO_FAN_TEXT, TORSION_FAN_TEXT, box_oracle
+from conftest import FANS_DIR, PSEUDO_FAN_TEXT, TORSION_FAN_TEXT, box_oracle
 
 
 def test_p2_report(p2_fan):
@@ -204,3 +204,24 @@ def test_derived_state_is_freed_with_its_fan():
     del fan
     gc.collect()
     assert grading_ref() is None and report_ref() is None
+
+
+@pytest.mark.parametrize("path", sorted(FANS_DIR.glob("*.fan")), ids=lambda p: p.stem)
+def test_serre_duality_and_vanishing_above_dimension(path):
+    # on a complete simplicial toric variety of dimension d,
+    # h^p(O(D)) = h^(d-p)(O(K - D)) with K = -(D_1 + ... + D_n), and h^p = 0
+    # for p > d (CLS Thm 9.2.10); D = sum a_i D_i has K - D = sum (-1 - a_i) D_i
+    fan = parse_fan(path.read_text())
+    g = fan_grading(fan)
+    rep = cohomology_of_U(fan)
+    d, n = fan.dim, fan.n_rays
+    rng = random.Random("serre-" + path.stem)
+    for _ in range(20):
+        a = [rng.randint(-3, 3) for _ in range(n)]
+        alpha, dual = g.degree_of(a), g.degree_of([-1 - x for x in a])
+        for p in range(d + 1):
+            assert sheaf_cohomology_dim(fan, alpha, p, report=rep) == sheaf_cohomology_dim(
+                fan, dual, d - p, report=rep
+            ), (a, p)
+        for p in range(d + 1, n + 1):
+            assert sheaf_cohomology_dim(fan, alpha, p, report=rep) == 0, (a, p)
