@@ -49,7 +49,6 @@ from .homalg import (
 from .koszul import (
     KoszulComplex,
     is_regular_sequence,
-    koszul_cohomology,
     koszul_homology,
     self_duality_check,
 )

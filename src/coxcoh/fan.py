@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+from .linalg import integer_det
+
 
 class FanError(ValueError):
     """Structural problem with a fan or a fan file."""
@@ -177,26 +179,6 @@ def emit_fan(fan, comment=None):
     return "\n".join(lines) + "\n"
 
 
-def _det(rows):
-    """Exact determinant of a square integer matrix (fraction-free Bareiss
-    elimination, so every intermediate value is an integer)."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
-
-
 def _sign(x):
     return (x > 0) - (x < 0)
 
@@ -208,7 +190,7 @@ def _in_closed_cone(rays, cone_det, point):
     s = _sign(cone_det)
     for i in range(len(rays)):
         swapped = rays[:i] + [point] + rays[i + 1 :]
-        if _sign(_det(swapped)) * s < 0:
+        if _sign(integer_det(swapped)) * s < 0:
             return False
     return True
 
@@ -247,7 +229,7 @@ def validate_fan(fan):
     """
     messages = []
     cone_rays = [fan.cone_rays(cone) for cone in fan.max_cones]
-    dets = [_det(rays) for rays in cone_rays]
+    dets = [integer_det(rays) for rays in cone_rays]
 
     simplicial = True
     for ci, det in enumerate(dets, start=1):
@@ -273,7 +255,8 @@ def validate_fan(fan):
     if complete:
         for wall, (a, b) in sorted(wall_cones.items()):
             base = fan.cone_rays(wall)
-            if _sign(_det(base + [fan.rays[a - 1]])) == _sign(_det(base + [fan.rays[b - 1]])):
+            side_a = _sign(integer_det(base + [fan.rays[a - 1]]))
+            if side_a == _sign(integer_det(base + [fan.rays[b - 1]])):
                 complete = False
                 messages.append(
                     "wall %s has both its cones on one side (rays %d and %d)"

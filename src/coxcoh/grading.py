@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .linalg import solve_rational
+from .linalg import integer_det, rational_rank, solve_rational
 from .snf import mat_vec, smith_normal_form
 
 
@@ -311,8 +311,6 @@ def match_degree_basis(computed, target):
         return None
     cols = [list(c.free) for c in computed]  # vectors as columns
     # pick fr linearly independent computed vectors
-    from .linalg import rational_rank
-
     chosen = []
     for i, v in enumerate(cols):
         if rational_rank([cols[j] for j in chosen] + [v]) > len(chosen):
@@ -331,27 +329,7 @@ def match_degree_basis(computed, target):
             return None
         t_rows.append([int(x) for x in sol])
     # verify T is unimodular and maps everything
-    det_rows = [list(map(Fraction, r)) for r in t_rows]
-    n = len(det_rows)
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if det_rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        if piv != col:
-            det_rows[col], det_rows[piv] = det_rows[piv], det_rows[col]
-            det = -det
-        det *= det_rows[col][col]
-        inv = Fraction(1) / det_rows[col][col]
-        for i in range(col + 1, n):
-            f = det_rows[i][col] * inv
-            for j in range(col, n):
-                det_rows[i][j] -= f * det_rows[col][j]
-    if abs(det) != 1:
+    if abs(integer_det(t_rows)) != 1:
         return None
     for c, t in zip(computed, target):
         mapped = tuple(sum(t_rows[r][j] * c.free[j] for j in range(fr)) for r in range(fr))

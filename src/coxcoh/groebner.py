@@ -2,13 +2,14 @@
 
 Free-module elements are ordered position-over-term with lower positions
 preferred; the ring order is grevlex by default (lex available).  A
-Groebner basis carries both transformation matrices: F = G*A and G = F*B,
-which is what makes the syzygy extraction below work.
+Groebner basis carries both transformation matrices, F = G*A and G = F*B,
+as the sparse columns of A and B; that is what makes the syzygy
+extraction below work.
 
-Buchberger and the syzygy extraction work on nonzero entries only: the
-tracked representations are sparse {source index: Poly} maps, a basis is
-flattened for division once per generator, and division pops its leading
-terms from a heap.
+Everything works on nonzero entries only: quotients, tracked
+representations and matrix columns are sparse {index: Poly} maps, a basis
+is flattened for division once per generator, and division pops its
+leading terms from a heap.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ def divide(f, basis, order=GREVLEX, flat=None):
 
     flat is the basis already flattened (a _DivisionBasis in the same order);
     callers that divide by one basis many times pass it to skip that work.
-    Returns (quotients, remainder); quotients are ring polynomials."""
+    Returns (quotients, remainder); quotients is a {basis index: Poly} map
+    holding only the nonzero quotients."""
     n, rank = f.n, f.rank
     if flat is None:
         flat = _DivisionBasis(order, basis)
@@ -122,7 +124,7 @@ def divide(f, basis, order=GREVLEX, flat=None):
         work[key] = c
         heap.append((hkey(key), key))
     heapq.heapify(heap)
-    quotients = [None] * len(entries)
+    quotients = {}
     rem = [{} for _ in range(rank)]
     while heap:
         key = heapq.heappop(heap)[1]
@@ -137,7 +139,7 @@ def divide(f, basis, order=GREVLEX, flat=None):
             bcoeff, tail = entry
             shift = tuple(map(sub, exp, bexp))
             factor = coeff if bcoeff == 1 else coeff / bcoeff
-            qt = quotients[bi]
+            qt = quotients.get(bi)
             if qt is None:
                 qt = quotients[bi] = {}
             qt[shift] = factor
@@ -158,7 +160,7 @@ def divide(f, basis, order=GREVLEX, flat=None):
             break
         else:
             rem[pos][exp] = coeff
-    quotients = [_poly(n, qt) if qt else Poly(n) for qt in quotients]
+    quotients = {bi: _poly(n, qt) for bi, qt in quotients.items()}
     return quotients, FreeModuleElement(rank, n, [_poly(n, t) for t in rem])
 
 
@@ -175,19 +177,17 @@ def _add_into(acc, key, poly):
 @dataclass
 class GroebnerBasis:
     """Reduced Groebner basis G with monic leads plus the change-of-basis
-    matrices: F = G*A and G = F*B (entries are ring polynomials).
+    matrices F = G*A and G = F*B, whose entries are ring polynomials.
 
-    a_columns[j] and b_columns[k] hold the nonzero entries of column j of A
-    and column k of B as {row: Poly}; flat is G flattened for division."""
+    a_columns[j] (one per source element) and b_columns[k] (one per element
+    of G) hold the nonzero entries of column j of A and column k of B as
+    {row: Poly}; flat is G flattened for division."""
 
     generators: list
-    a_matrix: list  # len(G) x len(F)
-    b_matrix: list  # len(F) x len(G)
+    a_columns: list
+    b_columns: list
     order: MonomialOrder
-    source: list
-    a_columns: list = field(default=None, repr=False, compare=False)
-    b_columns: list = field(default=None, repr=False, compare=False)
-    flat: _DivisionBasis = field(default=None, repr=False, compare=False)
+    flat: _DivisionBasis = field(repr=False, compare=False)
 
 
 class _Worker:
@@ -218,11 +218,10 @@ class _Worker:
             self._tick += 1
 
     def _reduce_rep(self, rep, qts, reps):
-        """rep - sum(q_k * reps[k]) over the nonzero quotients."""
-        for k, q in enumerate(qts):
-            if q.terms:
-                for i, p in reps[k].items():
-                    _add_into(rep, i, -(q * p))
+        """rep - sum(q_k * reps[k]) over the sparse quotients."""
+        for k, q in qts.items():
+            for i, p in reps[k].items():
+                _add_into(rep, i, -(q * p))
         return rep
 
     def add(self, v, rep=None):
@@ -282,7 +281,7 @@ class _Worker:
             entry, flat.entries[a] = flat.entries[a], None
             qts, r = divide(gens[a], gens, self.order, flat)
             flat.entries[a] = entry
-            if any(q.terms for q in qts):
+            if qts:
                 if self.track:
                     reps[a] = self._reduce_rep(dict(reps[a]), qts, reps)
                 gens[a] = r
@@ -311,18 +310,9 @@ def buchberger(source, order=GREVLEX):
         qts, r = divide(f, gens, order, flat)
         if not r.is_zero():
             raise RingError("internal error: source element does not reduce to zero")
-        a_columns.append({i: q for i, q in enumerate(qts) if q.terms})
-    a_matrix = [[Poly(n) for _ in source] for _ in gens]
-    for j, col in enumerate(a_columns):
-        for i, q in col.items():
-            a_matrix[i][j] = q
-    b_matrix = [[Poly(n) for _ in gens] for _ in source]
-    for k, col in enumerate(reps):
-        for i, p in col.items():
-            b_matrix[i][k] = p
+        a_columns.append(qts)
     return GroebnerBasis(
-        generators=gens, a_matrix=a_matrix, b_matrix=b_matrix, order=order,
-        source=list(source), a_columns=a_columns, b_columns=reps, flat=flat,
+        generators=gens, a_columns=a_columns, b_columns=reps, order=order, flat=flat
     )
 
 
@@ -378,9 +368,8 @@ def syzygy(source, order=GREVLEX):
             # s_ij in coordinates of G, then mapped through B
             svec = {i: Poly.monomial(n, ui)}
             _add_into(svec, j, -Poly.monomial(n, uj))
-            for k, qq in enumerate(qts):
-                if qq.terms:
-                    _add_into(svec, k, -qq)
+            for k, qq in qts.items():
+                _add_into(svec, k, -qq)
             col = {}
             for k, sk in svec.items():
                 for a, bak in b_cols[k].items():

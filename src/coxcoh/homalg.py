@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .groebner import GREVLEX, buchberger, divide, kernel_of_quotient_map, syzygy
+from .groebner import GREVLEX, buchberger, kernel_of_quotient_map, membership, syzygy
 from .linalg import sparse_rank_exact
 from .ring import FreeModuleElement, Poly, RingError
 
@@ -162,12 +162,10 @@ def presented_is_zero(module, order=GREVLEX):
     if not module.relations:
         return False
     gb = buchberger(module.relations, order)
-    for i in range(module.ambient_rank):
-        e = FreeModuleElement.unit(module.ambient_rank, module.n, i)
-        _, r = divide(e, gb.generators, order, gb.flat)
-        if not r.is_zero():
-            return False
-    return True
+    return all(
+        membership(FreeModuleElement.unit(module.ambient_rank, module.n, i), gb)
+        for i in range(module.ambient_rank)
+    )
 
 
 def subquotient_presentation(gens, denominators, ambient_shifts, n, order=GREVLEX):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .groebner import GREVLEX, buchberger, divide
+from .groebner import GREVLEX, buchberger, membership
 from .homalg import (
     PresentedModule,
     box_around,
@@ -166,18 +166,12 @@ def koszul_homology(elements, module, p, order=GREVLEX):
     return KoszulComplex(elements, module, order).homology(p)
 
 
-def koszul_cohomology(elements, module, p, order=GREVLEX):
-    return KoszulComplex(elements, module, order).cohomology(p)
-
-
 def generates_unit_ideal(elements, order=GREVLEX):
     vecs = [FreeModuleElement.from_poly(p) for p in elements if not p.is_zero()]
     if not vecs:
         return False
-    gb = buchberger(vecs, order)
     one = FreeModuleElement.from_poly(Poly.const(elements[0].n, 1))
-    _, r = divide(one, gb.generators, order, gb.flat)
-    return r.is_zero()
+    return membership(one, buchberger(vecs, order))
 
 
 def is_regular_sequence(elements, module, order=GREVLEX):

@@ -142,3 +142,23 @@ def sparse_rank_exact(columns):
         # drop emptied columns
         alive = {ci for ci in alive if cols[ci]}
     return rank
+
+
+def integer_det(rows):
+    """Exact determinant of a square integer matrix (fraction-free Bareiss
+    elimination, so every intermediate value is an integer)."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1

@@ -45,9 +45,6 @@ class SignPatternCohomology:
     pattern: SignPattern
     dims: dict = field(default_factory=dict)  # level p -> dimension > 0
 
-    def nonzero_levels(self):
-        return sorted(self.dims)
-
 
 def _supports(gens):
     out = []

@@ -150,9 +150,6 @@ class Poly:
                 raise RingError("polynomial is not a monomial in the fine grading")
         return deg
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
 

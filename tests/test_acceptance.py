@@ -22,7 +22,11 @@ from coxcoh.localcoh import negative_support, pattern_table
 from coxcoh.ring import FreeModuleElement, Poly
 from coxcoh.sheaf import cohomology_of_U, fan_grading, sheaf_cohomology_dim
 
-from test_groebner import degreewise_kernel_dim, degreewise_span_dim
+from test_groebner import (
+    assert_transformation_matrices,
+    degreewise_kernel_dim,
+    degreewise_span_dim,
+)
 
 
 def _report(criterion, started, detail):
@@ -273,17 +277,8 @@ def test_criterion_6_groebner_syzygy_suite():
             fs.append(FreeModuleElement(1, n, [Poly.monomial(n, e)]))
         done += 1
         gb = buchberger(fs)
-        G, A, B = gb.generators, gb.a_matrix, gb.b_matrix
-        for j, f in enumerate(fs):
-            acc = FreeModuleElement(1, n)
-            for i, g in enumerate(G):
-                acc = acc + g.poly_mul(A[i][j])
-            assert acc == f
-        for jj, g in enumerate(G):
-            acc = FreeModuleElement(1, n)
-            for i, f in enumerate(fs):
-                acc = acc + f.poly_mul(B[i][jj])
-            assert acc == g
+        G = gb.generators
+        assert_transformation_matrices(fs, gb)
         for i in range(len(G)):
             for j in range(i + 1, len(G)):
                 pi, ei, _ = _lead(G[i], gb.order)

@@ -115,6 +115,15 @@ def test_no_match_is_reported(p2_fan):
     assert match_degree_basis(g.variable_degrees(), bogus) is None
 
 
+def test_non_unimodular_match_is_reported(p2_fan, fano7_fan):
+    # doubled degrees map exactly under an integer T, but det T = 2^rank
+    for fan in (p2_fan, fano7_fan):
+        degrees = grading_group(fan).variable_degrees()
+        assert match_degree_basis(degrees, degrees) is not None
+        doubled = [GradingClass(tuple(2 * x for x in d.free), d.torsion) for d in degrees]
+        assert match_degree_basis(degrees, doubled) is None
+
+
 def test_enumerate_p2_stars_and_bars(p2_fan):
     g = grading_group(p2_fan)
     one = g.variable_degrees()[0]

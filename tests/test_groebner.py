@@ -37,6 +37,20 @@ def is_syzygy(fs, s):
     return all(p.is_zero() for p in dot(fs, s))
 
 
+def assert_transformation_matrices(fs, gb):
+    """F = G*A and G = F*B, read from the sparse columns of A and B, whose
+    keys must be in range and whose entries must all be nonzero."""
+    G = gb.generators
+    assert len(gb.a_columns) == len(fs) and len(gb.b_columns) == len(G)
+    for targets, columns, factors in ((fs, gb.a_columns, G), (G, gb.b_columns, fs)):
+        for target, col in zip(targets, columns):
+            acc = FreeModuleElement(target.rank, target.n)
+            for i, entry in col.items():
+                assert 0 <= i < len(factors) and not entry.is_zero()
+                acc = acc + factors[i].poly_mul(entry)
+            assert acc == target
+
+
 # ---------------------------------------------------------------------------
 # order sanity
 # ---------------------------------------------------------------------------
@@ -79,11 +93,11 @@ def test_position_over_term_prefers_lower_positions():
 
 def test_divide_examples():
     q, r = divide(rv("x1^2 + x1*x2", 2), [rv("x1", 2)])
-    assert q[0] == parse_poly("x1 + x2", 2) and r.is_zero()
+    assert q == {0: parse_poly("x1 + x2", 2)} and r.is_zero()
     q, r = divide(rv("x2", 2), [rv("x1", 2)])
-    assert q[0].is_zero() and r.entries[0] == parse_poly("x2", 2)
+    assert q == {} and r.entries[0] == parse_poly("x2", 2)
     q, r = divide(rv("x1*x2*x3", 3), [rv("x1*x2", 3), rv("x2*x3", 3)])
-    assert r.is_zero() and q[0] == parse_poly("x3", 3) and q[1].is_zero()
+    assert r.is_zero() and q == {0: parse_poly("x3", 3)}
 
 
 def random_module_terms(rng, n, rank, count, maxdeg):
@@ -112,9 +126,11 @@ def test_divide_contract_randomized():
                     g = g + FreeModuleElement.unit(rank, n, pos, term)
                 basis.append(g)
             q, r = divide(f, basis, order)
+            # sparse quotients: keys in range, no zero entry
+            assert all(0 <= i < len(basis) and not qq.is_zero() for i, qq in q.items())
             recomposed = r
-            for qq, g in zip(q, basis):
-                recomposed = recomposed + g.poly_mul(qq)
+            for i, qq in q.items():
+                recomposed = recomposed + basis[i].poly_mul(qq)
             assert recomposed == f
             # no remainder term divisible by a basis lead
             for g in basis:
@@ -126,10 +142,9 @@ def test_divide_contract_randomized():
             # lm(q_i g_i) <= lm(f)
             if not f.is_zero():
                 fkey = order.term_key(_lead(f, order)[:2])
-                for qq, g in zip(q, basis):
-                    if not qq.is_zero():
-                        prod = g.poly_mul(qq)
-                        assert order.term_key(_lead(prod, order)[:2]) <= fkey
+                for i, qq in q.items():
+                    prod = basis[i].poly_mul(qq)
+                    assert order.term_key(_lead(prod, order)[:2]) <= fkey
 
 
 def test_heap_key_sorts_as_term_key():
@@ -152,8 +167,8 @@ def test_heap_key_sorts_as_term_key():
 def test_buchberger_single_element():
     gb = buchberger([rv("x1", 1)])
     assert [g.entries[0] for g in gb.generators] == [parse_poly("x1", 1)]
-    assert gb.a_matrix[0][0] == Poly.const(1, 1)
-    assert gb.b_matrix[0][0] == Poly.const(1, 1)
+    assert gb.a_columns == [{0: Poly.const(1, 1)}]
+    assert gb.b_columns == [{0: Poly.const(1, 1)}]
 
 
 def test_buchberger_monomial_pair_is_self_groebner():
@@ -187,22 +202,11 @@ def test_buchberger_invariants_randomized():
         if not fs:
             continue
         gb = buchberger(fs)
-        G, A, B = gb.generators, gb.a_matrix, gb.b_matrix
+        G = gb.generators
         # monic leads
         for g in G:
             assert _lead(g, gb.order)[2] == 1
-        # F = G*A
-        for j, f in enumerate(fs):
-            acc = FreeModuleElement(rank, n)
-            for i, g in enumerate(G):
-                acc = acc + g.poly_mul(A[i][j])
-            assert acc == f
-        # G = F*B
-        for jj, g in enumerate(G):
-            acc = FreeModuleElement(rank, n)
-            for i, f in enumerate(fs):
-                acc = acc + f.poly_mul(B[i][jj])
-            assert acc == g
+        assert_transformation_matrices(fs, gb)
         # every S-vector reduces to zero
         for i in range(len(G)):
             for j in range(i + 1, len(G)):
@@ -395,22 +399,10 @@ def test_transformation_matrices_at_oracle_scale(fano7_fan):
     assert [(len(fs), fs[0].rank) for fs in systems] == [(25, 10), (30, 20)]
     for fs in systems:
         gb = buchberger(fs)
-        G, A, B = gb.generators, gb.a_matrix, gb.b_matrix
-        assert len(A) == len(G) and all(len(row) == len(fs) for row in A)
-        assert len(B) == len(fs) and all(len(row) == len(G) for row in B)
-        for j, f in enumerate(fs):
-            acc = FreeModuleElement(f.rank, n)
-            for i, g in enumerate(G):
-                acc = acc + g.poly_mul(A[i][j])
-            assert acc == f
-        for k, g in enumerate(G):
-            acc = FreeModuleElement(g.rank, n)
-            for i, f in enumerate(fs):
-                acc = acc + f.poly_mul(B[i][k])
-            assert acc == g
+        assert_transformation_matrices(fs, gb)
     # the second system really combines sources
-    assert len(G) > len(fs)
-    assert sum(1 for k in range(len(G)) if sum(1 for row in B if row[k]) > 1) >= 6
+    assert len(gb.generators) > len(fs)
+    assert sum(1 for col in gb.b_columns if len(col) > 1) >= 6
 
 
 def test_fano7_ideal_is_self_groebner(fano7_fan):
