@@ -286,6 +286,16 @@ def validate_fan(fan):
     )
 
 
+def require_valid(fan):
+    """Raise FanError unless the fan passes validate_fan."""
+    rep = validate_fan(fan)
+    if not rep.ok():
+        raise FanError(
+            "fan failed validation (simplicial=%s complete=%s): %s"
+            % (rep.simplicial, rep.complete, "; ".join(rep.messages))
+        )
+
+
 def irrelevant_generators(fan):
     """Minimal monomial basis of the irrelevant ideal: one squarefree
     monomial per max cone, on the variables whose rays are outside the cone.

@@ -1,7 +1,8 @@
-"""Integer bitmask kernels for the literal subset complex, in numpy.
+"""Integer bitmask kernels, in numpy.
 
-Only `localcoh.literal_pattern_cohomology`, the test oracle for the nerve
-route, uses them.
+`surviving_masks` serves only `localcoh.literal_pattern_cohomology`, the
+test oracle for the nerve route; `popcounts` also sizes the pattern masks
+of `localcoh.pattern_table`.
 """
 
 from __future__ import annotations

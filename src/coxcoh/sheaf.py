@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fan import FanError, irrelevant_generators, validate_fan
+from .fan import FanError
 from .grading import SignPattern, UnboundedRegionError, grading_group
 from .localcoh import pattern_table
 from .ring import component_dimension
@@ -60,15 +60,8 @@ def cohomology_of_U(fan):
     cached = fan.cache.get("report")
     if cached is not None:
         return cached
-    rep = validate_fan(fan)
-    if not rep.ok():
-        raise FanError(
-            "fan failed validation (simplicial=%s complete=%s): %s"
-            % (rep.simplicial, rep.complete, "; ".join(rep.messages))
-        )
     n = fan.n_rays
-    gens = irrelevant_generators(fan)
-    table = pattern_table(gens, n)
+    table = pattern_table(fan)  # validates the fan first
     closed = {0: [("S", 1)]}
     for entry in table:
         for level, mult in sorted(entry.dims.items()):

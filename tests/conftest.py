@@ -1,8 +1,10 @@
+import runpy
 import sys
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,3 +196,23 @@ def fano7_basis(fano7_fan):
 @pytest.fixture(scope="session")
 def fano8_basis(fano8_fan):
     return PublishedBasis(grading_group(fano8_fan), FANO8_DEGREES)
+
+
+def _coxbench_module(name):
+    """A file of coxbench/ as a namespace, read with runpy so that nothing
+    is imported as a module or written under coxbench/."""
+    return SimpleNamespace(**runpy.run_path(str(REPO_ROOT / "coxbench" / name)))
+
+
+@pytest.fixture(scope="session")
+def reference_oracle():
+    """coxbench/reference.py: answers from a fan's rays and cones alone,
+    imported from nothing in the program; the tests' independent oracle."""
+    return _coxbench_module("reference.py")
+
+
+@pytest.fixture(scope="session")
+def fan_generator():
+    """coxbench/fangen.py: seeded complete fans, P^d after stellar
+    subdivisions (`generated_fan(d, k, seeded_rng(seed, label))`)."""
+    return _coxbench_module("fangen.py")

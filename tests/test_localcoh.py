@@ -1,16 +1,19 @@
 import gc
 import random
 import weakref
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import coxcoh.fan as fan_module
 import coxcoh.localcoh as localcoh
-from coxcoh.fan import irrelevant_generators
+from coxcoh.fan import Fan, FanError, FanReport, irrelevant_generators, parse_fan
 from coxcoh.fans import projective_space_fan
 from coxcoh.grading import SignPattern
 from coxcoh.homalg import HomalgError, PresentedModule, hilbert_function_box, box_around
 from coxcoh.localcoh import (
+    MAX_TABLE_RAYS,
+    PatternComplexError,
     all_patterns,
     bracket_power_module,
     ext_limit_oracle,
@@ -20,6 +23,32 @@ from coxcoh.localcoh import (
     pattern_table,
 )
 from coxcoh.ring import Poly
+
+from conftest import FANS_DIR, PSEUDO_FAN_TEXT
+
+# seeded P^d+k covering every branch of the sphere route: d = 2 (degree 0
+# is also d-2), d = 3, d = 4 (Euler closes the middle), d = 5 (one rank),
+# d = 6 and 7 (two and three); fans/p1.fan is d = 1 (degree 0 is also d-1)
+SPHERE_SHAPES = [(2, 6), (3, 5), (4, 4), (5, 3), (6, 2), (7, 1)]
+# products of projective spaces, whose complexes are joins of simplex
+# boundaries: an induced triangle or tetrahedron boundary, or its
+# complement, puts a middle degree on a pattern of at most, or more than,
+# half the rays, which the subdivided P^d above do not
+SPHERE_PRODUCTS = [(2, 2), (2, 1, 1), (3, 1, 1)]
+
+
+def product_fan(*factors):
+    """The product of fans: each ray padded with zeros into its own block
+    of coordinates, the maximal cones the unions of one from each factor."""
+    dim = sum(f.dim for f in factors)
+    rays, blocks, offset, start = [], [], 0, 0
+    for f in factors:
+        rays += [(0,) * offset + ray + (0,) * (dim - offset - f.dim) for ray in f.rays]
+        blocks.append([tuple(i + start for i in cone) for cone in f.max_cones])
+        offset += f.dim
+        start += f.n_rays
+    cones = tuple(tuple(sorted(sum(parts, ()))) for parts in product(*blocks))
+    return Fan(dim, tuple(rays), cones)
 
 
 def supports_count(supports, neg, p):
@@ -44,8 +73,7 @@ def test_p2_patterns(p2_fan):
 
 
 def test_table_fano7(fano7_fan):
-    gens = irrelevant_generators(fano7_fan)
-    table = [(e.pattern.as_sorted(), e.dims) for e in pattern_table(gens, 7)]
+    table = [(e.pattern.as_sorted(), e.dims) for e in pattern_table(fano7_fan)]
     assert table == [
         ((5, 6), {2: 1}),
         ((1, 2, 3, 4, 7), {5: 1}),
@@ -54,8 +82,7 @@ def test_table_fano7(fano7_fan):
 
 
 def test_table_fano8(fano8_fan):
-    gens = irrelevant_generators(fano8_fan)
-    table = [(e.pattern.as_sorted(), e.dims) for e in pattern_table(gens, 8)]
+    table = [(e.pattern.as_sorted(), e.dims) for e in pattern_table(fano8_fan)]
     assert table == [
         ((5, 6), {2: 1}),
         ((1, 4, 8), {3: 1}),
@@ -107,7 +134,7 @@ def test_euler_characteristic_invariant(fano7_fan):
 def test_vanishing_bounds(fano8_fan):
     gens = irrelevant_generators(fano8_fan)
     n = 8
-    for entry in pattern_table(gens, n):
+    for entry in pattern_table(fano8_fan):
         for p in entry.dims:
             assert 0 < p <= min(len(gens), n)
 
@@ -180,10 +207,9 @@ def test_ext_oracle_refuses_oversized_box_before_resolving(monkeypatch):
 
 def test_oracle_agreement_small_fans(p1_fan, p2_fan):
     for fan in (p1_fan, p2_fan):
-        gens = irrelevant_generators(fan)
         n = fan.n_rays
         predicted = {}
-        for entry in pattern_table(gens, n):
+        for entry in pattern_table(fan):
             for p, mult in entry.dims.items():
                 predicted.setdefault(p, set()).add(entry.pattern.as_sorted())
         for p in range(1, n + 1):
@@ -248,3 +274,48 @@ def test_pattern_sweep_thread_safe(fano7_fan):
                      all_patterns(7))
         )
     assert dict(results) == serial
+
+
+def test_sphere_route_matches_both_oracles(reference_oracle, fan_generator):
+    fans = [parse_fan(path.read_text()) for path in sorted(FANS_DIR.glob("*.fan"))]
+    for d, k in SPHERE_SHAPES:
+        rays, cones = fan_generator.generated_fan(d, k, fan_generator.seeded_rng(1, "sphere", d))
+        fans.append(parse_fan(fan_generator.fan_text(rays, cones, "P^%d+%d" % (d, k))))
+    fans += [product_fan(*map(projective_space_fan, dims)) for dims in SPHERE_PRODUCTS]
+    assert sorted({fan.dim for fan in fans}) == list(range(1, 8))
+    for fan in fans:
+        n = fan.n_rays
+        table = {e.pattern.as_sorted(): e.dims for e in pattern_table(fan)}
+        assert list(table) == sorted(table, key=lambda pat: (len(pat), pat))
+        gens = irrelevant_generators(fan)
+        for pat in all_patterns(n)[1:]:
+            want = pattern_cohomology(gens, pat, n).dims
+            assert table.get(pat.as_sorted(), {}) == want, (fan.summary(), pat.as_sorted())
+        # the reference keys a pattern by its sheaf index, one below the level
+        got = {(level - 1, pat): mult for pat, dims in table.items() for level, mult in dims.items()}
+        cx = reference_oracle.FanComplex(n, fan.max_cones)
+        assert got == reference_oracle.pattern_table(cx), fan.summary()
+
+
+def test_pattern_table_refuses_an_invalid_fan():
+    with pytest.raises(FanError, match="failed validation"):
+        pattern_table(parse_fan(PSEUDO_FAN_TEXT))
+
+
+def test_pattern_table_refuses_more_rays_than_its_limit(fan_generator):
+    rays, cones = fan_generator.generated_fan(
+        2, MAX_TABLE_RAYS - 2, fan_generator.seeded_rng(1, "too-many-rays")
+    )
+    fan = parse_fan(fan_generator.fan_text(rays, cones, "polygon"))
+    with pytest.raises(PatternComplexError, match="limit is %d rays" % MAX_TABLE_RAYS):
+        pattern_table(fan)
+
+
+def test_sphere_route_reports_a_complex_that_is_no_sphere(monkeypatch):
+    # P^2 without the cone {1, 3} leaves a path, not a circle; let it past
+    # validation and the Euler characteristic disagrees with the components
+    monkeypatch.setattr(fan_module, "validate_fan", lambda fan: FanReport(True, True, True))
+    p2 = projective_space_fan(2)
+    path = Fan(p2.dim, p2.rays, tuple(c for c in p2.max_cones if c != (1, 3)))
+    with pytest.raises(PatternComplexError, match="Euler characteristic"):
+        pattern_table(path)

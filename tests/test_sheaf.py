@@ -4,7 +4,8 @@ import weakref
 
 import pytest
 
-from coxcoh import grading, sheaf
+from coxcoh import fan as fan_module
+from coxcoh import grading
 from coxcoh.fan import FanError, FanReport, parse_fan
 from coxcoh.fans import projective_space_fan
 from coxcoh.grading import SignPattern
@@ -188,7 +189,7 @@ def test_torsion_fan_dimensions():
 
 def test_degree0_failure_is_fan_error_and_not_cached(monkeypatch):
     # validation rejects the pseudo-fan; past validation, the degree-0 check must
-    monkeypatch.setattr(sheaf, "validate_fan", lambda fan: FanReport(True, True, True))
+    monkeypatch.setattr(fan_module, "validate_fan", lambda fan: FanReport(True, True, True))
     fan = parse_fan(PSEUDO_FAN_TEXT)
     for _ in range(2):
         with pytest.raises(FanError, match="degree-0"):
