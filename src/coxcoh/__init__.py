@@ -42,7 +42,6 @@ from .homalg import (
     ext_presentation,
     free_resolution,
     hilbert_function_box,
-    hom_presentation,
     minimal_generators,
     presented_is_zero,
 )

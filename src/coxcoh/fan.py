@@ -197,7 +197,9 @@ def _in_closed_cone(rays, cone_det, point):
 
 def validate_fan(fan):
     """Check simpliciality and the wall condition, and decide completeness
-    exactly from the walls.
+    exactly from the walls.  A fan whose rays repeat, or include one in no
+    maximal cone, is not complete: parse_fan refuses both, and a Fan built
+    in code is held to the same rule here.
 
     Proof of the completeness test.  Let the maximal cones be simplicial,
     let every wall (facet of a maximal cone) lie in exactly two maximal
@@ -251,7 +253,19 @@ def validate_fan(fan):
                 "wall %s lies in %d max cone(s), expected 2" % (set(wall) or "{}", len(opposite))
             )
 
-    complete = simplicial and wall_condition
+    rays_ok = True
+    used = {i for cone in fan.max_cones for i in cone}
+    first = {}
+    for ri, ray in enumerate(fan.rays, start=1):
+        if ri not in used:
+            rays_ok = False
+            messages.append("ray %d %s lies in no max cone" % (ri, tuple(ray)))
+        rj = first.setdefault(tuple(ray), ri)
+        if rj != ri:
+            rays_ok = False
+            messages.append("ray %d repeats ray %d %s" % (ri, rj, tuple(ray)))
+
+    complete = simplicial and wall_condition and rays_ok
     if complete:
         for wall, (a, b) in sorted(wall_cones.items()):
             base = fan.cone_rays(wall)

@@ -29,7 +29,7 @@ def weighted_projective_fan(weights):
     d = len(w) - 1
     # column vector w: U w has a single nonzero entry (the gcd, = 1) in row 0;
     # rows 1..d of U give coordinates on the quotient lattice
-    u, dd, v, ui, vi = smith_normal_form([[x] for x in w])
+    u, dd, _ = smith_normal_form([[x] for x in w])
     assert dd[0][0] == 1
     rays = []
     for i in range(d + 1):

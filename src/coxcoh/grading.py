@@ -10,11 +10,10 @@ exponent vectors exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .linalg import integer_det, rational_rank, solve_rational
+from .linalg import _gauss_jordan, integer_det
 from .snf import mat_vec, smith_normal_form
 
 
@@ -63,7 +62,7 @@ class GradingGroup:
     def __init__(self, fan):
         n, d = fan.n_rays, fan.dim
         ray_matrix = [list(r) for r in fan.rays]  # n x d, row i pairs with ray i
-        u, dd, v, ui, vi = smith_normal_form(ray_matrix)
+        u, dd, ui = smith_normal_form(ray_matrix)
         diag = [dd[i][i] for i in range(min(n, d))]
         rank = sum(1 for x in diag if x)
         if rank != d:
@@ -82,9 +81,6 @@ class GradingGroup:
         # kernel of the degree map = image of the pairing map; column c of the
         # basis is diag[c] times column c of Uinv
         self._kernel_basis = [[ui[r][c] * diag[c] for c in range(d)] for r in range(n)]
-        self.projection = [list(u[r]) for r in self._free_rows] + [
-            list(u[r]) for r in self._torsion_rows
-        ]
         self.ray_matrix = ray_matrix
         self._fibrations = {}  # sorted pattern -> _Fibration
         self._rows = {}  # one shared copy of each row the fibrations hold
@@ -309,25 +305,13 @@ def match_degree_basis(computed, target):
         return None
     if any(c.torsion != t.torsion for c, t in zip(computed, target)):
         return None
-    cols = [list(c.free) for c in computed]  # vectors as columns
-    # pick fr linearly independent computed vectors
-    chosen = []
-    for i, v in enumerate(cols):
-        if rational_rank([cols[j] for j in chosen] + [v]) > len(chosen):
-            chosen.append(i)
-        if len(chosen) == fr:
-            break
-    if len(chosen) < fr:
+    # [computed | targets] as rows reduces to [I | T^T] over zero rows
+    # exactly when some rational T maps every computed vector to its target
+    rows = [list(c.free) + list(t.free) for c, t in zip(computed, target)]
+    m, pivots = _gauss_jordan(rows, 2 * fr)
+    if pivots != list(range(fr)) or any(x.denominator != 1 for row in m[:fr] for x in row):
         return None
-    # row r of T solves (chosen vectors as rows) * T_r^T = (targets at r)
-    basis = [[Fraction(cols[j][k]) for k in range(fr)] for j in chosen]
-    t_rows = []
-    for r in range(fr):
-        rhs = [Fraction(target[j].free[r]) for j in chosen]
-        sol = solve_rational(basis, rhs)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return None
-        t_rows.append([int(x) for x in sol])
+    t_rows = [[int(m[j][fr + r]) for j in range(fr)] for r in range(fr)]
     # verify T is unimodular and maps everything
     if abs(integer_det(t_rows)) != 1:
         return None

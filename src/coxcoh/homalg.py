@@ -6,7 +6,7 @@ relations are homogeneous, graded Hilbert functions over boxes of degrees
 are available and are the workhorse for comparing modules.
 
 Hom(R^p, R^k) is flattened to R^(p*k) column-major: the matrix unit sending
-e_j to e_i sits at flat index j*k + i.
+e_j to e_i sits at flat index j*k + i.  Hom(M, N) is Ext^0(M, N).
 """
 
 from __future__ import annotations
@@ -234,30 +234,6 @@ def _postcompose_columns(beta_cols, p, k, n):
 
 def _basis_vectors(rank, n):
     return [FreeModuleElement.unit(rank, n, t) for t in range(rank)]
-
-
-def hom_presentation(m_module, n_module, order=GREVLEX):
-    """Presentation of Hom(M, N): the kernel of precomposition with M's
-    relations, taken modulo maps that factor through N's relations."""
-    n = m_module.n
-    p, k = m_module.ambient_rank, n_module.ambient_rank
-    if p == 0 or k == 0:
-        return PresentedModule(0, n, [], [])
-    alpha = minimal_generators(m_module.relations, m_module.shifts, order)
-    beta = minimal_generators(n_module.relations, n_module.shifts, order)
-    graded = m_module.is_graded() and n_module.is_graded()
-    m_shifts = m_module.shifts if m_module.shifts is not None else [(0,) * n] * p
-    n_shifts = n_module.shifts if n_module.shifts is not None else [(0,) * n] * k
-    flat = _flat_shifts(n_shifts, m_shifts) if graded else None
-    q = len(alpha)
-    if q == 0:
-        kern = _basis_vectors(p * k, n)
-    else:
-        front = _precompose_columns(alpha, p, k, n)
-        modulo = _postcompose_columns(beta, q, k, n)
-        kern = kernel_of_quotient_map(front, modulo, order)
-    denom = _postcompose_columns(beta, p, k, n)
-    return subquotient_presentation(kern, denom, flat, n, order)
 
 
 def ext_presentation(i, m_module, n_module, order=GREVLEX, resolution=None):

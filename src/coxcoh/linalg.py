@@ -9,84 +9,45 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form of the rows (ints/Fractions, each of length
+    ncols) as Fraction rows, and the list of its pivot columns."""
+    m = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        pr = m[r] = [x * inv for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                f = row[col]
+                m[i] = [a - f * b for a, b in zip(row, pr)]
+        pivots.append(col)
+    return m, pivots
+
+
 def rational_rank(rows):
     """Rank of a matrix given as a list of rows of ints/Fractions."""
-    m = [list(map(Fraction, row)) for row in rows if any(row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col] * inv
-                mi, mr = m[i], m[rank]
-                for j in range(col, ncols):
-                    mi[j] -= f * mr[j]
-        rank += 1
-        col += 1
-    return rank
+    rows = [row for row in rows if any(row)]
+    return len(_gauss_jordan(rows, len(rows[0]))[1]) if rows else 0
 
 
 def solve_rational(a_rows, b):
     """Solve A x = b exactly for square A; returns Fractions or None if singular."""
     n = len(a_rows)
-    m = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        for j in range(col, n + 1):
-            m[col][j] *= inv
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                for j in range(col, n + 1):
-                    m[i][j] -= f * m[col][j]
+    m, pivots = _gauss_jordan([list(row) + [b[i]] for i, row in enumerate(a_rows)], n + 1)
+    if pivots[:n] != list(range(n)):
+        return None
     return [m[i][n] for i in range(n)]
 
 
 def nullspace_rational(rows, ncols):
     """Basis of the right nullspace (list of Fraction vectors of length ncols)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        for j in range(col, ncols):
-            m[rank][j] *= inv
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                for j in range(col, ncols):
-                    m[i][j] -= f * m[rank][j]
-        pivots.append(col)
-        rank += 1
+    m, pivots = _gauss_jordan(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

@@ -1,4 +1,4 @@
-"""Smith normal form of integer matrices with transformation matrices."""
+"""Smith normal form of integer matrices with the row transformation."""
 
 from __future__ import annotations
 
@@ -22,16 +22,17 @@ def _identity(n):
 
 
 def smith_normal_form(a):
-    """Return (U, D, V, Uinv, Vinv) with U*A*V = D, U and V unimodular and
-    D diagonal with nonnegative invariant factors d_1 | d_2 | ...
+    """Return (U, D, Uinv): U is unimodular with inverse Uinv, D is diagonal
+    with nonnegative invariant factors d_1 | d_2 | ..., and U*A*V = D for
+    some unimodular V, which is not built.
 
-    A is a list of rows of ints and is not modified.
+    Row i of U*A is d_i times row i of V^-1, so the rows past the rank of
+    A are zero.  A is a list of rows of ints and is not modified.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     d = [list(r) for r in a]
     u, ui = _identity(rows), _identity(rows)
-    v, vi = _identity(cols), _identity(cols)
     limit = min(rows, cols)
 
     def row_combine(i1, i2, x, y, p, q):
@@ -46,10 +47,6 @@ def smith_normal_form(a):
     def col_combine(j1, j2, x, y, p, q):
         for r in d:
             r[j1], r[j2] = x * r[j1] + y * r[j2], -p * r[j1] + q * r[j2]
-        for r in v:
-            r[j1], r[j2] = x * r[j1] + y * r[j2], -p * r[j1] + q * r[j2]
-        for i in range(cols):  # Vinv <- N^{-1} * Vinv acts on rows
-            vi[j1][i], vi[j2][i] = q * vi[j1][i] + p * vi[j2][i], -y * vi[j1][i] + x * vi[j2][i]
 
     def negate_row(k):
         for j in range(cols):
@@ -72,10 +69,6 @@ def smith_normal_form(a):
         # col j -= m * col k
         for r in d:
             r[j] -= m * r[k]
-        for r in v:
-            r[j] -= m * r[k]
-        for i in range(cols):
-            vi[k][i] += m * vi[j][i]
 
     def clear_position(k):
         # the divisible case uses plain elementary operations so that the
@@ -121,9 +114,6 @@ def smith_normal_form(a):
             if pj != k:
                 for r in d:
                     r[k], r[pj] = r[pj], r[k]
-                for r in v:
-                    r[k], r[pj] = r[pj], r[k]
-                vi[k], vi[pj] = vi[pj], vi[k]
             clear_position(k)
             if d[k][k] < 0:
                 negate_row(k)
@@ -141,28 +131,9 @@ def smith_normal_form(a):
                 # spreads fill only into later rows/columns
                 for r in d:
                     r[k] += r[k + 1]
-                for r in v:
-                    r[k] += r[k + 1]
-                for i in range(cols):
-                    vi[k + 1][i] -= vi[k][i]
                 diagonalize(k)
                 changed = True
-    return u, d, v, ui, vi
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += f * bk[j]
-    return out
+    return u, d, ui
 
 
 def mat_vec(a, x):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -219,3 +220,52 @@ def test_cohomology_u_text_output(capsys):
     assert code == 0
     assert "H^1: cone with negative support {5, 6}" in out
     assert "note:" in out
+
+
+# SHA-256 of the --json output of each subcommand on each shipped fan.  A
+# change to any of these documents must be deliberate: update the digest and
+# say why in CHANGES.md.
+CLI_DIGESTS = {
+    "blowup_p112236.fan": {
+        "validate": "6b51aa3567f19c9cb7ed8ad691e8e573b578548363179324859c49d08c1e2184",
+        "irrelevant": "429bc751d5a1cfbb4afa93fc8b4b5573307352362bfb0d7069b735afc4b7b9e0",
+        "grading": "81b5ddbab53b8d6042a550597e672ff8a43a3663585c233e5d899b72071402a4",
+        "cohomology-u": "247dc4dccdc163011b65270d37d0e3954764c022e58b924fcf79f3d2b669d8d7",
+    },
+    "blowup_p11336.fan": {
+        "validate": "2c5601dcac8523f373b6d5058a5e169db74454b1355bfc152ebd75b425378279",
+        "irrelevant": "03934c77e7fb5a0ccebb5291822b31af22ca6888faa9819b541566d4b8960db3",
+        "grading": "2a12178f5cb37813f04e4a5cf5fb0be4c1d9e68b6ea66e2d849dae636ed4c374",
+        "cohomology-u": "7df3d927ca7a189290d70381a45c17b8cf946bc0d9fdc11cf148ab5fac4a9bab",
+    },
+    "p1.fan": {
+        "validate": "d8ca557a81c811432bfaf1323baec6eccdee07e91c5f689b0fecda40c8a789f6",
+        "irrelevant": "18a7fce4f7253418611e9830d255c1da958798ab8dd0619d7afd46134cfb396e",
+        "grading": "1e8ce7ae06faca5d1128f15dfa47ae38c60a09fa1660f2f30c09972db1a09dba",
+        "cohomology-u": "a8690bd04f0cd20c1d03a78129dd20cc8f2816bf44ce84a3edd3487fdc380e7a",
+    },
+    "p112.fan": {
+        "validate": "8bdb102e29bd9973fd2fe774108c78100bca666a9f4a8cbbc8ddd74feff7392e",
+        "irrelevant": "f7ca2e833e8bda6a9e3dd4e4c753e48816231c90657529fb4db9d12e3e716438",
+        "grading": "b44f0ec2909f6941ed2f77f6e5d2876c6f7453c5319e8db389efe6136c245830",
+        "cohomology-u": "82245f94446305fcf42f6d2b9dca1157dcb4ad47609ab5ad563d866a82fdd22b",
+    },
+    "p2.fan": {
+        "validate": "8bdb102e29bd9973fd2fe774108c78100bca666a9f4a8cbbc8ddd74feff7392e",
+        "irrelevant": "f7ca2e833e8bda6a9e3dd4e4c753e48816231c90657529fb4db9d12e3e716438",
+        "grading": "98d86f7bd2d1aa28e8d54d86fb61305d677d99629a4af0ce3458df8b4f22e2ee",
+        "cohomology-u": "53122d27ebe832b7d6db6c624f4e5292a249f79818e41b58782d0b49549dd5c5",
+    },
+}
+
+
+def test_cli_digests_cover_every_shipped_fan():
+    assert sorted(CLI_DIGESTS) == sorted(p.name for p in FANS_DIR.glob("*.fan"))
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_cli_json_is_byte_identical(name, capsys):
+    for subcommand, digest in CLI_DIGESTS[name].items():
+        code, out, err = run_cli(capsys, subcommand, str(FANS_DIR / name), "--json")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, subcommand

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from coxcoh.fan import FanError, emit_fan, irrelevant_generators, parse_fan, validate_fan
+from coxcoh.fan import Fan, FanError, emit_fan, irrelevant_generators, parse_fan, validate_fan
+from coxcoh.sheaf import cohomology_of_U
 from conftest import FANO7_IDEAL, FANO8_IDEAL, FANS_DIR, PSEUDO_FAN_TEXT
 
 P1_TEXT = "dim 1\nrays 2\n1\n-1\nmaxcones 2\n1\n2\n"
@@ -77,6 +78,32 @@ def test_cones_on_one_side_of_a_wall_not_complete():
     assert rep.simplicial and rep.wall_condition
     assert rep.complete is False
     assert any("wall {2} has both its cones on one side" in m for m in rep.messages)
+
+
+@pytest.mark.parametrize(
+    "fan, messages",
+    [
+        # P^1 with ray 1 repeated as ray 2, and ray 1 in no cone
+        (
+            Fan(1, ((-1,), (-1,), (1,)), ((2,), (3,))),
+            ["ray 1 (-1,) lies in no max cone", "ray 2 repeats ray 1 (-1,)"],
+        ),
+        # P^2 with an extra ray (1, 1) that no cone uses
+        (
+            Fan(2, ((1, 0), (0, 1), (-1, -1), (1, 1)), ((1, 2), (2, 3), (1, 3))),
+            ["ray 4 (1, 1) lies in no max cone"],
+        ),
+    ],
+)
+def test_fan_built_in_code_with_a_stray_ray_is_refused(fan, messages):
+    # parse_fan refuses both fans; validate_fan holds a Fan built in code to
+    # the same rule, so every route raises FanError
+    rep = validate_fan(fan)
+    assert rep.simplicial and rep.wall_condition
+    assert rep.complete is False and not rep.ok()
+    assert list(rep.messages) == messages
+    with pytest.raises(FanError, match="fan failed validation"):
+        cohomology_of_U(fan)
 
 
 def test_complete_is_a_bool_on_shipped_fans_and_relabelings(fano7_fan):

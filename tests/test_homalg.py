@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -10,7 +11,6 @@ from coxcoh.homalg import (
     ext_presentation,
     free_resolution,
     hilbert_function_box,
-    hom_presentation,
     minimal_generators,
     presented_is_zero,
     subquotient_presentation,
@@ -77,13 +77,14 @@ def test_minimal_generators_prunes():
 
 
 def test_hom_examples():
+    # Hom(M, N) is Ext^0(M, N)
     n = 1
     R = PresentedModule.free(n)
     M = quotient(n, "x1")
-    h1 = hom_presentation(R, M)
+    h1 = ext_presentation(0, R, M)
     assert hilbert_function_box(h1, [(0, 3)]) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
-    assert presented_is_zero(hom_presentation(M, R))
-    h3 = hom_presentation(M, M)
+    assert presented_is_zero(ext_presentation(0, M, R))
+    h3 = ext_presentation(0, M, M)
     assert hilbert_function_box(h3, [(0, 2)]) == {(0,): 1, (1,): 0, (2,): 0}
 
 
@@ -91,7 +92,7 @@ def test_hom_of_free_modules():
     n = 2
     F2 = PresentedModule.free(n, 2)
     M = quotient(n, "x1")
-    h = hom_presentation(F2, M)
+    h = ext_presentation(0, F2, M)
     # Hom(R^2, R/x) = (R/x)^2: dimension 2 at each power of x2
     hf = hilbert_function_box(h, [(0, 1), (0, 1)])
     assert hf == {(0, 0): 2, (0, 1): 2, (1, 0): 0, (1, 1): 0}
@@ -109,22 +110,31 @@ def test_ext_examples():
 
 
 def test_ext0_equals_hom_hilbert():
+    # Hom(S/I, S/J) = (J : I)/J for monomial ideals I and J: at degree a it
+    # is 1 exactly when a >= 0, x^a is not in J and x^a * g is in J for
+    # every generator g of I
+    def in_ideal(a, gens):
+        return any(all(x >= e for x, e in zip(a, g)) for g in gens)
+
     rng = random.Random(9)
-    for _ in range(6):
-        n = rng.randint(1, 2)
-        texts = []
-        for _ in range(rng.randint(1, 2)):
-            e = tuple(rng.randint(0, 2) for _ in range(n))
-            if any(e):
-                texts.append(Poly.monomial(n, e))
-        M = PresentedModule.quotient_by(texts, n)
-        N = PresentedModule.quotient_by(
-            [Poly.monomial(n, tuple(rng.randint(0, 1) for _ in range(n)))], n
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        i_gens, j_gens = (
+            [e for e in (tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(2)) if any(e)]
+            for _ in range(2)
         )
+        M = PresentedModule.quotient_by([Poly.monomial(n, e) for e in i_gens], n)
+        N = PresentedModule.quotient_by([Poly.monomial(n, e) for e in j_gens], n)
         box = box_around(n, 2)
-        assert hilbert_function_box(ext_presentation(0, M, N), box) == hilbert_function_box(
-            hom_presentation(M, N), box
-        )
+        expected = {
+            a: int(
+                min(a) >= 0
+                and not in_ideal(a, j_gens)
+                and all(in_ideal([x + e for x, e in zip(a, g)], j_gens) for g in i_gens)
+            )
+            for a in product(*(range(lo, hi + 1) for lo, hi in box))
+        }
+        assert hilbert_function_box(ext_presentation(0, M, N), box) == expected
 
 
 def test_euler_characteristic_against_dual_complex():

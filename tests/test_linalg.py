@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
-from coxcoh.linalg import integer_det
+from coxcoh.linalg import integer_det, nullspace_rational, rational_rank, solve_rational
+from coxcoh.snf import smith_normal_form
 
 
 def fraction_det(rows):
@@ -51,3 +54,68 @@ def test_integer_det_small_cases():
     assert integer_det([[0, 1], [1, 0]]) == -1
     assert integer_det([[0, 0], [1, 2]]) == 0
     assert integer_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
+
+
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _minor_gcd(a, k):
+    """gcd of the k x k minors of a (0 when it has none or all vanish)."""
+    out = 0
+    for rs in combinations(range(len(a)), k):
+        for cs in combinations(range(len(a[0])), k):
+            out = gcd(out, integer_det([[a[i][j] for j in cs] for i in rs]))
+    return out
+
+
+def test_smith_normal_form_contract():
+    rng = random.Random(7)
+    for trial in range(200):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2 and trial % 4 == 1:
+            a[-1] = [2 * x - y for x, y in zip(a[0], a[1])]  # force a rank drop
+        u, d, ui = smith_normal_form(a)
+        assert _mul(u, ui) == [[int(i == j) for j in range(rows)] for i in range(rows)]
+        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        diag = [d[i][i] for i in range(min(rows, cols))]
+        k = sum(1 for x in diag if x)
+        assert all(x > 0 for x in diag[:k]) and not any(diag[k:])
+        assert all(diag[i + 1] % diag[i] == 0 for i in range(k - 1))
+        ua = _mul(u, a)
+        assert not any(any(row) for row in ua[k:])
+        # U*A = D*W with the maximal minors of W coprime: W is the top of a
+        # unimodular V^-1, so some unimodular V has U*A*V = D
+        assert all(x % diag[i] == 0 for i in range(k) for x in ua[i])
+        w = [[x // diag[i] for x in ua[i]] for i in range(k)]
+        assert k == 0 or _minor_gcd(w, k) == 1
+        product = 1
+        for j in range(1, min(rows, cols) + 1):
+            product *= diag[j - 1]
+            assert product == _minor_gcd(a, j)
+
+
+def test_solve_and_nullspace_against_their_definitions():
+    rng = random.Random(11)
+    singular = 0
+    for trial in range(200):
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and trial % 3 == 0:
+            a[-1] = [x + y for x, y in zip(a[0], a[-2])]
+        b = [rng.randint(-5, 5) for _ in range(n)]
+        x = solve_rational(a, b)
+        assert (x is None) == (integer_det(a) == 0)
+        if x is None:
+            singular += 1
+        else:
+            assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        basis = nullspace_rational(m, cols)
+        assert all(len(v) == cols and any(v) for v in basis)
+        assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in m for v in basis)
+        assert rational_rank(m) + len(basis) == cols
+        assert rational_rank(basis) == len(basis)
+    assert singular >= 50
