@@ -298,9 +298,14 @@ _COMMANDS = {
 }
 
 
+_parser = None  # built by the first main() call, then reused by every call
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
     except DOMAIN_ERRORS as exc:

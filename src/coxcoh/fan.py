@@ -199,7 +199,10 @@ def validate_fan(fan):
     """Check simpliciality and the wall condition, and decide completeness
     exactly from the walls.  A fan whose rays repeat, or include one in no
     maximal cone, is not complete: parse_fan refuses both, and a Fan built
-    in code is held to the same rule here.
+    in code is held to the same rule here.  So is a cone naming a ray index
+    outside 1..n; it is reported before any determinant is taken, and the
+    report then claims nothing (simplicial, complete and wall condition all
+    false).
 
     Proof of the completeness test.  Let the maximal cones be simplicial,
     let every wall (facet of a maximal cone) lie in exactly two maximal
@@ -229,7 +232,16 @@ def validate_fan(fan):
     an interior point of one cone lies in no other.  The cost is two
     determinants per wall and d + 1 per cone.
     """
-    messages = []
+    n = fan.n_rays
+    messages = [
+        "cone %d names ray index %d outside 1..%d" % (ci, i, n)
+        for ci, cone in enumerate(fan.max_cones, start=1)
+        for i in cone
+        if not 1 <= i <= n
+    ]
+    if messages:
+        # no determinant of a cone that names no ray can be taken
+        return FanReport(False, False, False, tuple(messages))
     cone_rays = [fan.cone_rays(cone) for cone in fan.max_cones]
     dets = [integer_det(rays) for rays in cone_rays]
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from coxcoh import cli
 from coxcoh.cli import main
 
 from conftest import FANS_DIR, PSEUDO_FAN_TEXT
@@ -269,3 +270,46 @@ def test_cli_json_is_byte_identical(name, capsys):
         code, out, err = run_cli(capsys, subcommand, str(FANS_DIR / name), "--json")
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest, subcommand
+
+
+# SHA-256 of `cohomology-u --json` on generated fans, P^d after k stellar
+# subdivisions drawn from seeded_rng(1, "x"), written to P^d+k.fan
+GENERATED_DIGESTS = {
+    (2, 8): "9103bd1981bfe76c788959d060b027ff603e64037f68e22563006950ce9ac2d5",
+    (3, 9): "440e089f283fb2a73e16ebe5ea3b961f03a7fc17335aba8b35360cf3e41382be",
+}
+
+
+@pytest.mark.parametrize("d, k", sorted(GENERATED_DIGESTS))
+def test_cohomology_u_json_on_generated_fans_is_byte_identical(d, k, tmp_path, fan_generator, capsys):
+    rays, cones = fan_generator.generated_fan(d, k, fan_generator.seeded_rng(1, "x"))
+    path = tmp_path / ("P%d+%d.fan" % (d, k))
+    path.write_text(fan_generator.fan_text(rays, cones, "P^%d+%d" % (d, k)))
+    code, out, err = run_cli(capsys, "cohomology-u", str(path), "--json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATED_DIGESTS[d, k]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # a run, a usage error and a run again share the one parser, and the
+    # usage error leaves nothing behind that changes the second run
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    path = str(FANS_DIR / "blowup_p11336.fan")
+    digest = CLI_DIGESTS["blowup_p11336.fan"]["cohomology-u"]
+    code, out, err = run_cli(capsys, "cohomology-u", path, "--json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology-u", path, "--modp", "7", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --modp" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "cohomology-u", path, "--json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(builds) == 1

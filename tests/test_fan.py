@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from coxcoh.fan import Fan, FanError, emit_fan, irrelevant_generators, parse_fan, validate_fan
+from coxcoh.fan import (
+    Fan,
+    FanError,
+    emit_fan,
+    irrelevant_generators,
+    parse_fan,
+    require_valid,
+    validate_fan,
+)
 from coxcoh.sheaf import cohomology_of_U
 from conftest import FANO7_IDEAL, FANO8_IDEAL, FANS_DIR, PSEUDO_FAN_TEXT
 
@@ -102,6 +110,21 @@ def test_fan_built_in_code_with_a_stray_ray_is_refused(fan, messages):
     assert rep.simplicial and rep.wall_condition
     assert rep.complete is False and not rep.ok()
     assert list(rep.messages) == messages
+    with pytest.raises(FanError, match="fan failed validation"):
+        cohomology_of_U(fan)
+
+
+@pytest.mark.parametrize("index", [3, 0, -1])
+def test_fan_built_in_code_with_a_cone_index_out_of_range_is_refused(index):
+    # parse_fan refuses such an index with a line number; on a Fan built in
+    # code validate_fan names the cone and the index before any determinant
+    # (0 and -1 would otherwise index rays from the end)
+    fan = Fan(1, ((1,), (-1,)), ((1,), (index,)))
+    rep = validate_fan(fan)
+    assert not rep.ok() and rep.complete is False
+    assert list(rep.messages) == ["cone 2 names ray index %d outside 1..2" % index]
+    with pytest.raises(FanError, match="cone 2 names ray index %d outside" % index):
+        require_valid(fan)
     with pytest.raises(FanError, match="fan failed validation"):
         cohomology_of_U(fan)
 

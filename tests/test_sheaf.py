@@ -6,12 +6,14 @@ import pytest
 
 from coxcoh import fan as fan_module
 from coxcoh import grading
-from coxcoh.fan import FanError, FanReport, parse_fan
+from coxcoh.fan import Fan, FanError, FanReport, parse_fan
 from coxcoh.fans import projective_space_fan
-from coxcoh.grading import SignPattern
+from coxcoh.grading import SignPattern, grading_group
+from coxcoh.linalg import rational_rank
 from coxcoh.sheaf import (
     cohomology_of_U,
     cohomology_table,
+    degree0_unbounded,
     fan_grading,
     report_to_json,
     sheaf_cohomology_dim,
@@ -192,8 +194,61 @@ def test_degree0_failure_is_fan_error_and_not_cached(monkeypatch):
     monkeypatch.setattr(fan_module, "validate_fan", lambda fan: FanReport(True, True, True))
     fan = parse_fan(PSEUDO_FAN_TEXT)
     for _ in range(2):
-        with pytest.raises(FanError, match="degree-0"):
+        with pytest.raises(FanError) as exc:
             cohomology_of_U(fan)
+        assert str(exc.value) == (
+            "degree-0 consistency check failed: h^p(O) is nonzero or unbounded at "
+            "(p, h^p) = [(1, 'unbounded')], which cannot happen on a complete fan"
+        )
+
+
+def _degree0_oracle_configurations(fan_generator):
+    """(rays, d) for every shipped fan, the pseudo-fan, the torsion fan,
+    seeded P^d+k with at most 9 rays, and 30 seeded random spanning ray
+    sets in dimension <= 3 (entries in -2..2, so lines repeat and
+    hyperplanes hold many rays).  P^5+2 and P^6+1 stay out: Fourier-Motzkin
+    on their unbounded patterns takes minutes."""
+    configs = [(fan.rays, fan.dim) for fan in
+               [parse_fan(path.read_text()) for path in sorted(FANS_DIR.glob("*.fan"))]
+               + [parse_fan(PSEUDO_FAN_TEXT), parse_fan(TORSION_FAN_TEXT)]]
+    shapes = [(2, k) for k in range(1, 7)] + [(3, k) for k in range(6)] + [(4, k) for k in range(5)]
+    for d, k in shapes + [(5, 0), (5, 1), (6, 0)]:
+        rays, _ = fan_generator.generated_fan(d, k, fan_generator.seeded_rng(1, "degree0", d, k))
+        configs.append((rays, d))
+    rng = random.Random("degree0-random")
+    wanted = len(configs) + 30
+    while len(configs) < wanted:
+        d = rng.randint(1, 3)
+        rays = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(d, 9))]
+        if all(any(r) for r in rays) and rational_rank(rays) == d:
+            configs.append((tuple(rays), d))
+    return configs
+
+
+def test_degree0_check_matches_fibration_oracle(fan_generator):
+    # the cocircuit verdict on every nonempty pattern against the
+    # Fourier-Motzkin boundedness of the pattern's region
+    checked = flagged = 0
+    for rays, d in _degree0_oracle_configurations(fan_generator):
+        n = len(rays)
+        g = grading_group(Fan(d, rays, ()))
+        masks = range(1, 1 << n)
+        for mask, unbounded in zip(masks, degree0_unbounded(rays, masks).tolist()):
+            pattern = SignPattern(i + 1 for i in range(n) if mask >> i & 1)
+            assert unbounded == (not g._fibration(pattern).bounded), (rays, pattern)
+            checked += 1
+            flagged += unbounded
+    assert checked > 4000 and flagged > 1000
+
+
+def test_degree0_check_builds_no_fibration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a _Fibration was built by the degree-0 check")
+
+    monkeypatch.setattr(grading._Fibration, "__init__", refuse)
+    rep = cohomology_of_U(projective_space_fan(4))
+    assert rep.cones_at(4) == [((1, 2, 3, 4, 5), 1)]
+    assert rep.notes[-1] == "degree-0 consistency check passed: h^p(O) = 0 for p = 1..5"
 
 
 def test_derived_state_is_freed_with_its_fan():
