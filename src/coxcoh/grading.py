@@ -56,6 +56,11 @@ class SignPattern:
         return tuple(sorted(self.negative))
 
 
+def ray_indices(mask):
+    """The rays of a pattern given as a bitmask (bit i-1 for ray i), ascending."""
+    return tuple(i + 1 for i in range(int(mask).bit_length()) if mask >> i & 1)
+
+
 class GradingGroup:
     """Cokernel of the ray pairing map, with the projection and section data."""
 
@@ -82,7 +87,7 @@ class GradingGroup:
         # basis is diag[c] times column c of Uinv
         self._kernel_basis = [[ui[r][c] * diag[c] for c in range(d)] for r in range(n)]
         self.ray_matrix = ray_matrix
-        self._fibrations = {}  # sorted pattern -> _Fibration
+        self._fibrations = {}  # pattern mask -> _Fibration
         self._rows = {}  # one shared copy of each row the fibrations hold
 
     # -- degree map ---------------------------------------------------
@@ -122,52 +127,52 @@ class GradingGroup:
         return mat_vec(self._uinv, y)
 
     # -- lattice points of a sign-pattern region -------------------------
-    def _fibration(self, pattern):
-        """The pattern's cached _Fibration; built once, from the pattern alone."""
-        key = pattern.as_sorted()
-        fib = self._fibrations.get(key)
+    def _fibration(self, mask):
+        """The pattern's cached _Fibration; built once, from the mask alone."""
+        fib = self._fibrations.get(mask)
         if fib is None:
-            bad = [i for i in key if not 1 <= i <= self.n]
-            if bad:
-                raise GradingError("pattern indices out of range: %s" % bad)
-            fib = _Fibration(self._kernel_basis, key, self.dim, self._rows.setdefault)
+            if not 0 <= mask < 1 << self.n:
+                raise GradingError("pattern mask %d names a ray outside 1..%d" % (mask, self.n))
+            fib = _Fibration(self._kernel_basis, mask, self.dim, self._rows.setdefault)
             # concurrent builders make equal values; setdefault keeps one
-            fib = self._fibrations.setdefault(key, fib)
+            fib = self._fibrations.setdefault(mask, fib)
         return fib
 
-    def _region(self, alpha, pattern):
+    def _region(self, alpha, mask):
         """The particular solution a0 of alpha and the pattern's levels bound
         to it (None when the region is visibly empty)."""
-        alpha = alpha.reduced(self.torsion)
-        fib = self._fibration(pattern)
+        alpha = self.class_from_free(alpha.free, alpha.torsion)
+        fib = self._fibration(mask)
         if not fib.bounded:
             raise UnboundedRegionError(
                 "degree region for %s with pattern %s is unbounded"
-                % (alpha, sorted(pattern.negative))
+                % (alpha, list(ray_indices(mask)))
             )
         a0 = self._particular_solution(alpha)
-        return a0, fib.bind(a0, pattern.negative)
+        return a0, fib.bind(a0, mask)
 
-    def count_degrees(self, alpha, pattern):
-        """Number of exponent vectors that enumerate_degrees would return,
-        counted without materialising them.
+    def count_degrees(self, alpha, mask):
+        """Number of exponent vectors that enumerate_degrees(alpha, mask)
+        would return, counted without materialising them.
 
-        Raises UnboundedRegionError when the region is an unbounded
-        polyhedron.
+        Raises GradingError when alpha does not have the grading's shape, and
+        UnboundedRegionError when the region is an unbounded polyhedron.
         """
-        _, levels = self._region(alpha, pattern)
+        _, levels = self._region(alpha, mask)
         if levels is None:
             return 0
         return sum(hi - lo + 1 for _, lo, hi in _fibres(levels))
 
-    def enumerate_degrees(self, alpha, pattern):
+    def enumerate_degrees(self, alpha, mask):
         """All exponent vectors of degree alpha whose negative support is
-        exactly pattern.negative (strictly negative there, >= 0 elsewhere).
+        exactly the pattern `mask`, a bitmask with bit i-1 for ray i
+        (strictly negative there, >= 0 elsewhere; 0 is the monomials).
 
-        Raises UnboundedRegionError when the region is an unbounded
-        polyhedron.  Output is sorted lexicographically.
+        Raises GradingError when alpha does not have the grading's shape, and
+        UnboundedRegionError when the region is an unbounded polyhedron.
+        Output is sorted lexicographically.
         """
-        a0, levels = self._region(alpha, pattern)
+        a0, levels = self._region(alpha, mask)
         if levels is None:
             return []
         kb = self._kernel_basis
@@ -184,8 +189,8 @@ class _Fibration:
     """Integer Fourier-Motzkin description of one sign-pattern region.
 
     The region is {t in Z^d : A t >= c}, where row i of A is the kernel-basis
-    row i, negated when i is in the pattern, and c depends on the degree:
-    c_i = 1 + a0_i there and -a0_i elsewhere, for a particular solution a0.
+    row i, negated where the pattern's mask has bit i, and c depends on the
+    degree: c_i = 1 + a0_i there and -a0_i elsewhere, a0 a particular solution.
     Eliminating t_{d-1}, ..., t_1 in turn gives levels L_{d-1} = A, ..., L_0;
     L_k holds the rows in t_0..t_k that describe the exact projection of the
     polyhedron onto those coordinates.  Every derived row is a nonnegative
@@ -202,13 +207,13 @@ class _Fibration:
 
     __slots__ = ("levels", "conditions", "bounded")
 
-    def __init__(self, kernel_basis, negative, d, intern):
+    def __init__(self, kernel_basis, mask, d, intern):
         """Patterns of one grading share most rows; `intern` (a dict's
         setdefault) stores each of them once."""
         n = len(kernel_basis)
         rows = {}  # (coefficients on t, multipliers on the rows of A)
         for i, krow in enumerate(kernel_basis):
-            coef = tuple(-x for x in krow) if i + 1 in negative else tuple(krow)
+            coef = tuple(-x for x in krow) if mask >> i & 1 else tuple(krow)
             _add_row(rows, intern, coef, tuple(int(j == i) for j in range(n)))
         conditions = {}  # multipliers of rows 0 >= lam . c, all of t eliminated
         levels = [None] * d
@@ -234,14 +239,12 @@ class _Fibration:
         self.levels = tuple(levels)
         self.bounded = all(lower and upper for lower, upper in levels)
 
-    def bind(self, a0, negative):
+    def bind(self, a0, mask):
         """Per-level (lower, upper) rows (a_k, coefficients, rhs) for the
         degree with particular solution a0, each row meaning
         coefficients . t >= rhs; None if some derived condition already
         shows the region empty."""
-        c = [-a for a in a0]
-        for i in negative:
-            c[i - 1] = 1 + a0[i - 1]
+        c = [1 + a if mask >> i & 1 else -a for i, a in enumerate(a0)]
         if any(sum(map(mul, lam, c)) > 0 for lam in self.conditions):
             return None
         return [

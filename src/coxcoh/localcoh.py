@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .fan import SquarefreeMonomial, irrelevant_generators, require_valid
-from .grading import SignPattern
+from .grading import SignPattern, ray_indices
 from .homalg import (
     PresentedModule,
     box_around,
@@ -53,7 +54,8 @@ MAX_TABLE_RAYS = 22
 
 @dataclass
 class SignPatternCohomology:
-    """Nonzero limit cohomology dimensions for one sign pattern."""
+    """Nonzero limit cohomology dimensions for one sign pattern, as the
+    oracles `pattern_cohomology` and `literal_pattern_cohomology` give them."""
 
     pattern: SignPattern
     dims: dict = field(default_factory=dict)  # level p -> dimension > 0
@@ -308,9 +310,18 @@ def _rank_middle_degrees(h, d, n, masks, sizes, cones, is_face):
                 h[d - 1 - size][outside] = value
 
 
+class PatternTable(NamedTuple):
+    """The patterns with nonzero limit cohomology.  masks[j] is a pattern as
+    a bitmask (bit i-1 for ray i) and dims[k, j] its dimension at limit
+    level k+2, both int64.  The masks are in lexicographic order of their
+    ascending ray indices, a prefix first: (1, 2) < (1, 2, 3) < (1, 3) < (2,)."""
+
+    masks: np.ndarray  # (N,)
+    dims: np.ndarray  # (d, N)
+
+
 def pattern_table(fan):
-    """SignPatternCohomology for every pattern with nonzero dims, in
-    subset-lexicographic pattern order; FanError unless the fan passes
+    """The PatternTable of the fan; FanError unless the fan passes
     validation.
 
     Level p of a nonempty pattern J is h^(p-2)(J), where h^k(J) is the
@@ -383,7 +394,7 @@ def pattern_table(fan):
     elif residual.any():
         raise PatternComplexError(
             "Euler characteristic disagrees with the components of pattern %s"
-            % (_pattern_of(int(np.flatnonzero(residual)[0]), n),)
+            % (ray_indices(np.flatnonzero(residual)[0]),)
         )
     table = np.stack([h[k] for k in range(d)])
     table[:, 0] = 0
@@ -391,21 +402,19 @@ def pattern_table(fan):
         k, j = np.argwhere(table < 0)[0].tolist()
         raise PatternComplexError(
             "Euler characteristic leaves H~^%d of pattern %s at %d"
-            % (k, _pattern_of(j, n), table[k, j])
+            % (k, ray_indices(j), table[k, j])
         )
-    t = len(fan.max_cones)
-    rows = []
+    _check_level_bounds(2 + np.flatnonzero(table.any(axis=1)), len(fan.max_cones), n)
     nonzero = np.flatnonzero(table.any(axis=0))
-    for j, column in zip(nonzero.tolist(), table[:, nonzero].T.tolist()):
-        dims = {k + 2: v for k, v in enumerate(column) if v}
-        _check_level_bounds(dims, t, n)
-        rows.append((_pattern_of(j, n), dims))
-    rows.sort(key=lambda row: (len(row[0]), row[0]))
-    return [SignPatternCohomology(SignPattern(pattern), dims) for pattern, dims in rows]
-
-
-def _pattern_of(mask, n):
-    return tuple(i + 1 for i in range(n) if mask >> i & 1)
+    # column c of the sort keys holds the c-th smallest ray of each mask,
+    # 0 past its last; frexp reads ray i off the lowest bit 2^(i-1)
+    rest, columns = nonzero, []
+    while rest.any():
+        lowest = rest & -rest
+        columns.append(np.frexp(lowest)[1])
+        rest = rest ^ lowest
+    masks = nonzero[np.lexsort(columns[::-1])]
+    return PatternTable(masks, table[:, masks])
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,4 @@ def component_dimension(grading, alpha):
     raises UnboundedRegionError if that region is unbounded (impossible for
     a valid complete fan, checked defensively).
     """
-    from .grading import SignPattern
-
-    return grading.count_degrees(alpha, SignPattern())
+    return grading.count_degrees(alpha, 0)

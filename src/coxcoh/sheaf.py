@@ -16,23 +16,27 @@ which counts every other degree, is its oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 from operator import mul
 
 import numpy as np
 
 from .fan import FanError
-from .grading import SignPattern, grading_group
+from .grading import grading_group, ray_indices
 from .localcoh import pattern_table
 from .ring import component_dimension
 
 
 @dataclass
 class CohomologyReport:
+    """H^p of the punctured cone: the whole coordinate ring for p = 0, and
+    for p >= 1 the sum of the sign-pattern cones in cones[p], a pair of
+    lists: the pattern masks (bit i-1 for ray i) in the JSON's order, and
+    their multiplicities.  The keys p ascend."""
+
     fan_summary: dict
-    pattern_table: list  # SignPatternCohomology entries with nonzero dims
-    closed_forms: dict  # sheaf index p -> list of ("S" | sorted pattern tuple, multiplicity)
+    cones: dict  # p -> (masks, multiplicities), only where H^p has cones
     basis_note: str
     notes: list = field(default_factory=list)
     per_degree: list = None  # optional [{"alpha": ..., "p": ..., "dim": ...}]
@@ -40,7 +44,8 @@ class CohomologyReport:
 
     def cones_at(self, p):
         """(pattern tuple, multiplicity) cone summands of H^p, p >= 1."""
-        return [(pat, mult) for pat, mult in self.closed_forms.get(p, ()) if pat != "S"]
+        masks, mults = self.cones.get(p, ((), ()))
+        return [(ray_indices(mask), mult) for mask, mult in zip(masks, mults)]
 
 
 def fan_grading(fan):
@@ -74,14 +79,12 @@ def cohomology_of_U(fan):
         return cached
     n = fan.n_rays
     table = pattern_table(fan)  # validates the fan first
-    closed = {0: [("S", 1)]}
-    for entry in table:
-        for level, mult in sorted(entry.dims.items()):
-            # Cech index is one below the limit-complex level
-            p = level - 1
-            closed.setdefault(p, []).append((entry.pattern.as_sorted(), mult))
-    for p in closed:
-        closed[p] = sorted(closed[p], key=lambda it: ((), ()) if it[0] == "S" else (it[0], ()))
+    cones = {}
+    for k, row in enumerate(table.dims):
+        # Cech index p = k + 1 is one below the limit-complex level k + 2
+        nonzero = np.flatnonzero(row)
+        if len(nonzero):
+            cones[k + 1] = (table.masks[nonzero].tolist(), row[nonzero].tolist())
     grading = fan_grading(fan)
     notes = [ERRATUM_NOTE]
     degs = grading.variable_degrees()
@@ -95,16 +98,14 @@ def cohomology_of_U(fan):
     )
     report = CohomologyReport(
         fan_summary=fan.summary(),
-        pattern_table=table,
-        closed_forms=closed,
+        cones=cones,
         basis_note=basis_note,
         notes=notes,
     )
     # degree-zero consistency: all higher cohomology of the structure sheaf
     # must vanish; see degree0_unbounded
-    masks = [sum(1 << (i - 1) for i in entry.pattern.negative) for entry in table]
-    flagged = degree0_unbounded(fan.rays, masks).tolist()
-    bad = sorted({level - 1 for entry, f in zip(table, flagged) if f for level in entry.dims})
+    flagged = degree0_unbounded(fan.rays, table.masks)
+    bad = (1 + np.flatnonzero(table.dims[:, flagged].any(axis=1))).tolist()
     if bad:
         raise FanError(
             "degree-0 consistency check failed: h^p(O) is nonzero or unbounded at "
@@ -211,11 +212,10 @@ def sheaf_cohomology_dim(fan, alpha, p, report=None):
     if report is None:
         report = cohomology_of_U(fan)
     grading = fan_grading(fan)
-    total = 0
-    if p == 0:
-        total += component_dimension(grading, alpha)
-    for pat, mult in report.cones_at(p):
-        total += mult * grading.count_degrees(alpha, SignPattern(pat))
+    total = component_dimension(grading, alpha) if p == 0 else 0
+    masks, mults = report.cones.get(p, ((), ()))
+    for mask, mult in zip(masks, mults):
+        total += mult * grading.count_degrees(alpha, mask)
     return total
 
 
@@ -224,9 +224,8 @@ def cohomology_table(fan, degrees, ps=None):
     per_degree table filled, deterministic ordering (degrees as given, then
     ascending p)."""
     base = cohomology_of_U(fan)
-    n = fan.n_rays
     if ps is None:
-        ps = list(range(0, n + 1))
+        ps = range(fan.n_rays + 1)
     per = []
     for alpha in degrees:
         for p in ps:
@@ -234,25 +233,15 @@ def cohomology_table(fan, degrees, ps=None):
             per.append(
                 {"alpha": list(alpha.free) + list(alpha.torsion), "p": p, "dim": dim}
             )
-    return CohomologyReport(
-        fan_summary=base.fan_summary,
-        pattern_table=base.pattern_table,
-        closed_forms=base.closed_forms,
-        basis_note=base.basis_note,
-        notes=list(base.notes),
-        per_degree=per,
-    )
+    return replace(base, notes=list(base.notes), per_degree=per)
 
 
 def report_to_json(report):
     """JSON document per the published schema; patterns carry the sheaf index."""
-    patterns = []
-    for p in sorted(report.closed_forms):
-        for pat, mult in report.closed_forms[p]:
-            if pat == "S":
-                continue
-            patterns.append({"negative": list(pat), "p": p, "mult": mult})
-    patterns.sort(key=lambda e: (e["p"], e["negative"]))
+    patterns = [
+        {"negative": list(pat), "p": p, "mult": mult}
+        for p in report.cones for pat, mult in report.cones_at(p)
+    ]
     doc = {
         "fan": report.fan_summary,
         "patterns": patterns,

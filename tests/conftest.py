@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coxcoh.fan import parse_fan  # noqa: E402
 from coxcoh.fans import projective_space_fan, weighted_projective_fan  # noqa: E402
-from coxcoh.grading import GradingClass, grading_group, match_degree_basis  # noqa: E402
+from coxcoh.grading import GradingClass, grading_group, match_degree_basis, ray_indices  # noqa: E402
 from coxcoh.homalg import box_around  # noqa: E402
 from coxcoh.linalg import nullspace_rational, solve_rational  # noqa: E402
 from coxcoh.localcoh import ext_limit_oracle  # noqa: E402
@@ -57,6 +57,19 @@ class PublishedBasis:
         sol = solve_rational(self._matrix, list(published_free))
         assert sol is not None and all(x.denominator == 1 for x in sol)
         return self.grading.class_from_free([int(x) for x in sol], torsion)
+
+
+def mask_of(negative):
+    """A pattern's bitmask from its rays: bit i-1 for ray i."""
+    return sum(1 << (i - 1) for i in negative)
+
+
+def table_rows(table):
+    """A PatternTable as (ray tuple, {limit level: dim > 0}) rows, in its order."""
+    return [
+        (ray_indices(mask), {k + 2: v for k, v in enumerate(column) if v})
+        for mask, column in zip(table.masks.tolist(), table.dims.T.tolist())
+    ]
 
 
 def _pattern_rows(grading, negative, alpha):

@@ -277,6 +277,7 @@ def test_cli_json_is_byte_identical(name, capsys):
 GENERATED_DIGESTS = {
     (2, 8): "9103bd1981bfe76c788959d060b027ff603e64037f68e22563006950ce9ac2d5",
     (3, 9): "440e089f283fb2a73e16ebe5ea3b961f03a7fc17335aba8b35360cf3e41382be",
+    (4, 12): "865b1900904bee618ee581846e85c51e0036cee46fe73938adc5e57c903f0b3d",
 }
 
 

@@ -8,7 +8,7 @@ from coxcoh import fan as fan_module
 from coxcoh import grading
 from coxcoh.fan import Fan, FanError, FanReport, parse_fan
 from coxcoh.fans import projective_space_fan
-from coxcoh.grading import SignPattern, grading_group
+from coxcoh.grading import GradingClass, GradingError, grading_group
 from coxcoh.linalg import rational_rank
 from coxcoh.sheaf import (
     cohomology_of_U,
@@ -19,14 +19,13 @@ from coxcoh.sheaf import (
     sheaf_cohomology_dim,
 )
 
-from conftest import FANS_DIR, PSEUDO_FAN_TEXT, TORSION_FAN_TEXT, box_oracle
+from conftest import FANS_DIR, PSEUDO_FAN_TEXT, TORSION_FAN_TEXT, box_oracle, mask_of
 
 
 def test_p2_report(p2_fan):
     rep = cohomology_of_U(p2_fan)
-    assert rep.closed_forms[0] == [("S", 1)]
     assert rep.cones_at(2) == [((1, 2, 3), 1)]
-    assert 1 not in rep.closed_forms
+    assert rep.cones_at(1) == []
     assert rep.exact
     assert any("passed" in note for note in rep.notes)
     assert any("coordinate-subring" in note for note in rep.notes)
@@ -35,7 +34,7 @@ def test_p2_report(p2_fan):
 def test_p112_report(p112_fan):
     rep = cohomology_of_U(p112_fan)
     assert rep.cones_at(2) == [((1, 2, 3), 1)]
-    assert all(p in (0, 2) for p in rep.closed_forms)
+    assert list(rep.cones) == [2]
 
 
 def test_fano7_report(fano7_fan):
@@ -110,7 +109,7 @@ def test_pushforward_double_count(p2_fan):
         total += sheaf_cohomology_dim(p2_fan, g.class_from_free([k * one]), 2)
     pts = 0
     for k in range(-6, 0):
-        pts += len(g.enumerate_degrees(g.class_from_free([k * one]), SignPattern({1, 2, 3})))
+        pts += len(g.enumerate_degrees(g.class_from_free([k * one]), mask_of({1, 2, 3})))
     assert total == pts > 0
 
 
@@ -234,8 +233,7 @@ def test_degree0_check_matches_fibration_oracle(fan_generator):
         g = grading_group(Fan(d, rays, ()))
         masks = range(1, 1 << n)
         for mask, unbounded in zip(masks, degree0_unbounded(rays, masks).tolist()):
-            pattern = SignPattern(i + 1 for i in range(n) if mask >> i & 1)
-            assert unbounded == (not g._fibration(pattern).bounded), (rays, pattern)
+            assert unbounded == (not g._fibration(mask).bounded), (rays, mask)
             checked += 1
             flagged += unbounded
     assert checked > 4000 and flagged > 1000
@@ -249,6 +247,46 @@ def test_degree0_check_builds_no_fibration(monkeypatch):
     rep = cohomology_of_U(projective_space_fan(4))
     assert rep.cones_at(4) == [((1, 2, 3, 4, 5), 1)]
     assert rep.notes[-1] == "degree-0 consistency check passed: h^p(O) = 0 for p = 1..5"
+
+
+def test_report_path_builds_no_sign_pattern(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SignPattern was built on the report path")
+
+    monkeypatch.setattr(grading.SignPattern, "__init__", refuse)
+    # fano8 parsed anew, so cohomology_table runs cohomology_of_U in full
+    fan = parse_fan((FANS_DIR / "blowup_p112236.fan").read_text())
+    alpha = fan_grading(fan).class_from_free([1, 1, 1])
+    doc = report_to_json(cohomology_table(fan, [alpha]))
+    assert [(e["p"], e["negative"]) for e in doc["patterns"]] == [
+        (1, [5, 6]), (2, [1, 4, 8]), (2, [2, 3, 7]), (3, [1, 4, 5, 6, 8]),
+        (3, [2, 3, 5, 6, 7]), (4, [1, 2, 3, 4, 7, 8]), (5, [1, 2, 3, 4, 5, 6, 7, 8]),
+    ]
+    assert [e["p"] for e in doc["per_degree"]] == list(range(fan.n_rays + 1))
+
+
+def test_degree_class_of_the_wrong_shape_is_grading_error(p2_fan, fano8_fan):
+    # P^2 grades by Z and fano8 by Z^3: a class of another length, or with
+    # torsion on a torsion-free grading, used to be truncated or to crash.
+    # Every p that counts lattice points checks the class: p = 0, and each
+    # p with cones
+    cases = [
+        (p2_fan, GradingClass((0, 6, -15))),
+        (fano8_fan, GradingClass((0, 6, -15, 1))),
+        (fano8_fan, GradingClass((0, 6))),
+        (p2_fan, GradingClass((-3,), (1,))),
+    ]
+    for fan, alpha in cases:
+        g = fan_grading(fan)
+        with pytest.raises(GradingError, match="wrong shape"):
+            g.count_degrees(alpha, mask_of(range(1, fan.n_rays + 1)))
+        with pytest.raises(GradingError, match="wrong shape"):
+            g.enumerate_degrees(alpha, 0)
+        for p in [0] + list(cohomology_of_U(fan).cones):
+            with pytest.raises(GradingError, match="wrong shape"):
+                sheaf_cohomology_dim(fan, alpha, p)
+        with pytest.raises(GradingError, match="wrong shape"):
+            cohomology_table(fan, [alpha])
 
 
 def test_derived_state_is_freed_with_its_fan():
