@@ -20,7 +20,6 @@ from .fan import (
 from .grading import (
     GradingClass,
     GradingGroup,
-    SignPattern,
     UnboundedRegionError,
     grading_group,
     match_degree_basis,
@@ -45,19 +44,8 @@ from .homalg import (
     minimal_generators,
     presented_is_zero,
 )
-from .koszul import (
-    KoszulComplex,
-    is_regular_sequence,
-    koszul_homology,
-    self_duality_check,
-)
-from .localcoh import (
-    SignPatternCohomology,
-    bracket_power_module,
-    ext_limit_oracle,
-    pattern_cohomology,
-    pattern_table,
-)
+from .koszul import KoszulComplex, is_regular_sequence, self_duality_check
+from .localcoh import bracket_power_module, ext_limit_oracle, pattern_cohomology, pattern_table
 from .ring import FreeModuleElement, Poly, component_dimension, format_poly, parse_poly
 from .sheaf import (
     CohomologyReport,

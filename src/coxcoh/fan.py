@@ -200,9 +200,10 @@ def validate_fan(fan):
     exactly from the walls.  A fan whose rays repeat, or include one in no
     maximal cone, is not complete: parse_fan refuses both, and a Fan built
     in code is held to the same rule here.  So is a cone naming a ray index
-    outside 1..n; it is reported before any determinant is taken, and the
-    report then claims nothing (simplicial, complete and wall condition all
-    false).
+    outside 1..n, or holding other than d indices; it is reported before
+    any determinant is taken, and the report then claims nothing
+    (simplicial, complete and wall condition all false).  A wall is keyed
+    by its ascending indices, whatever order its cones list them in.
 
     Proof of the completeness test.  Let the maximal cones be simplicial,
     let every wall (facet of a maximal cone) lie in exactly two maximal
@@ -232,15 +233,16 @@ def validate_fan(fan):
     an interior point of one cone lies in no other.  The cost is two
     determinants per wall and d + 1 per cone.
     """
-    n = fan.n_rays
-    messages = [
-        "cone %d names ray index %d outside 1..%d" % (ci, i, n)
-        for ci, cone in enumerate(fan.max_cones, start=1)
-        for i in cone
-        if not 1 <= i <= n
-    ]
+    n, d = fan.n_rays, fan.dim
+    messages = []
+    for ci, cone in enumerate(fan.max_cones, start=1):
+        if len(cone) != d:
+            messages.append("cone %d has size %d, expected %d" % (ci, len(cone), d))
+        messages.extend(
+            "cone %d names ray index %d outside 1..%d" % (ci, i, n) for i in cone if not 1 <= i <= n
+        )
     if messages:
-        # no determinant of a cone that names no ray can be taken
+        # a d x d determinant needs d rays that exist
         return FanReport(False, False, False, tuple(messages))
     cone_rays = [fan.cone_rays(cone) for cone in fan.max_cones]
     dets = [integer_det(rays) for rays in cone_rays]
@@ -255,7 +257,7 @@ def validate_fan(fan):
     wall_cones = {}
     for cone in fan.max_cones:
         for drop in cone:
-            wall = tuple(i for i in cone if i != drop)
+            wall = tuple(sorted(i for i in cone if i != drop))
             wall_cones.setdefault(wall, []).append(drop)
     wall_condition = True
     for wall, opposite in sorted(wall_cones.items()):

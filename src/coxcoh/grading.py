@@ -43,19 +43,6 @@ class GradingClass:
         return GradingClass(self.free, tuple(a % f for a, f in zip(self.torsion, factors)))
 
 
-@dataclass(frozen=True)
-class SignPattern:
-    """Variable indices forced strictly negative; all others nonnegative."""
-
-    negative: frozenset
-
-    def __init__(self, negative=()):
-        object.__setattr__(self, "negative", frozenset(negative))
-
-    def as_sorted(self):
-        return tuple(sorted(self.negative))
-
-
 def ray_indices(mask):
     """The rays of a pattern given as a bitmask (bit i-1 for ray i), ascending."""
     return tuple(i + 1 for i in range(int(mask).bit_length()) if mask >> i & 1)

@@ -6,7 +6,8 @@ relations are homogeneous, graded Hilbert functions over boxes of degrees
 are available and are the workhorse for comparing modules.
 
 Hom(R^p, R^k) is flattened to R^(p*k) column-major: the matrix unit sending
-e_j to e_i sits at flat index j*k + i.  Hom(M, N) is Ext^0(M, N).
+e_j to e_i sits at flat index j*k + i.  Hom(M, N) is Ext^0(M, N).  Groebner
+work runs in grevlex, the groebner default: no result here depends on it.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _det_key(v):
     )
 
 
-def minimal_generators(vectors, ambient_shifts=None, order=GREVLEX):
+def minimal_generators(vectors, ambient_shifts=None):
     """Prune a generating set greedily: process in ascending degree and drop
     anything in the module generated by what was already kept.
 
@@ -92,7 +93,7 @@ def minimal_generators(vectors, ambient_shifts=None, order=GREVLEX):
 
     ordered = sorted(vectors, key=sort_key)
     rank, n = ordered[0].rank, ordered[0].n
-    worker = _Worker(rank, n, order)
+    worker = _Worker(rank, n, GREVLEX)
     kept = []
     for v in ordered:
         if worker.add(v):
@@ -128,47 +129,45 @@ class FreeResolution:
         return True
 
 
-def free_resolution(module, order=GREVLEX, max_length=None):
+def free_resolution(module):
     """Minimal free resolution by iterated syzygy computation.
 
     Terminates within the syzygy bound (at most n steps past the
-    presentation); each level's generators are pruned to a minimal
-    generating set before recursing, which keeps the result minimal."""
+    presentation; more than n + 2 levels raise); each level's generators are
+    pruned to a minimal generating set, which keeps the result minimal."""
     n = module.n
-    if max_length is None:
-        max_length = n + 2
     ranks = [module.ambient_rank]
     shifts = [list(module.shifts) if module.shifts is not None else None]
     diffs = []
     ambient_shifts = module.shifts
-    rels = minimal_generators(module.relations, ambient_shifts, order)
+    rels = minimal_generators(module.relations, ambient_shifts)
     while rels:
-        if len(diffs) > max_length:
+        if len(diffs) > n + 2:
             raise HomalgError("resolution exceeded the syzygy bound")
         graded = ambient_shifts is not None
         level_shifts = [r.fine_degree(ambient_shifts) for r in rels] if graded else None
         diffs.append(rels)
         ranks.append(len(rels))
         shifts.append(level_shifts)
-        rels = minimal_generators(syzygy(rels, order), level_shifts, order)
+        rels = minimal_generators(syzygy(rels), level_shifts)
         ambient_shifts = level_shifts
     return FreeResolution(ranks=ranks, differentials=diffs, shifts=shifts, n=n)
 
 
-def presented_is_zero(module, order=GREVLEX):
+def presented_is_zero(module):
     """Exact zero test: every ambient generator lies in the relation span."""
     if module.ambient_rank == 0:
         return True
     if not module.relations:
         return False
-    gb = buchberger(module.relations, order)
+    gb = buchberger(module.relations)
     return all(
         membership(FreeModuleElement.unit(module.ambient_rank, module.n, i), gb)
         for i in range(module.ambient_rank)
     )
 
 
-def subquotient_presentation(gens, denominators, ambient_shifts, n, order=GREVLEX):
+def subquotient_presentation(gens, denominators, ambient_shifts, n):
     """Presentation of <gens> / <denominators> inside a common free ambient.
 
     The generators become the ambient basis of the result; the relations are
@@ -176,7 +175,7 @@ def subquotient_presentation(gens, denominators, ambient_shifts, n, order=GREVLE
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return PresentedModule(0, n, [], [])
-    rels = kernel_of_quotient_map(gens, denominators, order)
+    rels = kernel_of_quotient_map(gens, denominators)
     if ambient_shifts is not None:
         shifts = [g.fine_degree(ambient_shifts) for g in gens]
     else:
@@ -236,7 +235,7 @@ def _basis_vectors(rank, n):
     return [FreeModuleElement.unit(rank, n, t) for t in range(rank)]
 
 
-def ext_presentation(i, m_module, n_module, order=GREVLEX, resolution=None):
+def ext_presentation(i, m_module, n_module, resolution=None):
     """Presentation of Ext^i(M, N): cohomology of Hom(resolution of M, N).
 
     The fine grading is carried through the whole pipeline, so for monomial
@@ -244,12 +243,12 @@ def ext_presentation(i, m_module, n_module, order=GREVLEX, resolution=None):
     if i < 0:
         raise HomalgError("negative cohomological index")
     n = m_module.n
-    res = resolution if resolution is not None else free_resolution(m_module, order)
+    res = resolution if resolution is not None else free_resolution(m_module)
     big_l = res.length()
     k = n_module.ambient_rank
     if i > big_l or k == 0:
         return PresentedModule(0, n, [], [])
-    beta = minimal_generators(n_module.relations, n_module.shifts, order)
+    beta = minimal_generators(n_module.relations, n_module.shifts)
     graded = (res.shifts[0] is not None) and n_module.is_graded()
     n_shifts = n_module.shifts if n_module.shifts is not None else [(0,) * n] * k
     level_shifts = res.shifts[i] if res.shifts[i] is not None else [(0,) * n] * res.ranks[i]
@@ -258,14 +257,14 @@ def ext_presentation(i, m_module, n_module, order=GREVLEX, resolution=None):
     if i < big_l:
         front = _precompose_columns(res.differentials[i], res.ranks[i], k, n)
         modulo = _postcompose_columns(beta, res.ranks[i + 1], k, n)
-        kern = kernel_of_quotient_map(front, modulo, order)
+        kern = kernel_of_quotient_map(front, modulo)
     else:
         kern = _basis_vectors(res.ranks[i] * k, n)
     denom = []
     if i >= 1:
         denom.extend(_precompose_columns(res.differentials[i - 1], res.ranks[i - 1], k, n))
     denom.extend(_postcompose_columns(beta, res.ranks[i], k, n))
-    return subquotient_presentation(kern, denom, flat, n, order)
+    return subquotient_presentation(kern, denom, flat, n)
 
 
 # ---------------------------------------------------------------------------

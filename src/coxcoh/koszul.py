@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .groebner import GREVLEX, buchberger, membership
+from .groebner import kernel_of_quotient_map
 from .homalg import (
     PresentedModule,
     box_around,
@@ -26,12 +26,11 @@ from .ring import FreeModuleElement, Poly
 class KoszulComplex:
     """Koszul complex of a sequence of ring elements with module coefficients."""
 
-    def __init__(self, elements, module, order=GREVLEX):
+    def __init__(self, elements, module):
         if not elements:
             raise ValueError("need at least one ring element")
         self.elements = list(elements)
         self.module = module
-        self.order = order
         self.d = len(elements)
         self.n = module.n
         self.rank = module.ambient_rank
@@ -136,13 +135,9 @@ class KoszulComplex:
         if p == 0:
             kern = [FreeModuleElement.unit(rank, self.n, j) for j in range(rank)]
         else:
-            from .groebner import kernel_of_quotient_map
-
-            kern = kernel_of_quotient_map(
-                self.boundary_columns(p), self.level_relations(p - 1), self.order
-            )
+            kern = kernel_of_quotient_map(self.boundary_columns(p), self.level_relations(p - 1))
         denom = list(self.boundary_columns(p + 1)) + self.level_relations(p)
-        return subquotient_presentation(kern, denom, shifts, self.n, self.order)
+        return subquotient_presentation(kern, denom, shifts, self.n)
 
     def cohomology(self, p):
         """H^p of the cohomological complex as a PresentedModule."""
@@ -153,45 +148,37 @@ class KoszulComplex:
         if p == self.d:
             kern = [FreeModuleElement.unit(rank, self.n, j) for j in range(rank)]
         else:
-            from .groebner import kernel_of_quotient_map
-
-            kern = kernel_of_quotient_map(
-                self.coboundary_columns(p), self.level_relations(p + 1), self.order
-            )
+            kern = kernel_of_quotient_map(self.coboundary_columns(p), self.level_relations(p + 1))
         denom = list(self.coboundary_columns(p - 1)) + self.level_relations(p)
-        return subquotient_presentation(kern, denom, shifts, self.n, self.order)
+        return subquotient_presentation(kern, denom, shifts, self.n)
 
 
-def koszul_homology(elements, module, p, order=GREVLEX):
-    return KoszulComplex(elements, module, order).homology(p)
+def generates_unit_ideal(elements):
+    """True iff the ring elements generate the unit ideal: S/<elements> is
+    zero.  An empty or all-zero sequence generates the zero ideal."""
+    return bool(elements) and presented_is_zero(
+        PresentedModule.quotient_by(elements, elements[0].n)
+    )
 
 
-def generates_unit_ideal(elements, order=GREVLEX):
-    vecs = [FreeModuleElement.from_poly(p) for p in elements if not p.is_zero()]
-    if not vecs:
-        return False
-    one = FreeModuleElement.from_poly(Poly.const(elements[0].n, 1))
-    return membership(one, buchberger(vecs, order))
-
-
-def is_regular_sequence(elements, module, order=GREVLEX):
+def is_regular_sequence(elements, module):
     """True iff the sequence has vanishing Koszul homology in all positive
     levels (the homological regularity criterion).  Sequences generating the
     unit ideal are rejected up front: the definition excludes them even
     though their complexes are acyclic."""
-    if generates_unit_ideal(elements, order):
+    if generates_unit_ideal(elements):
         return False
-    complex_ = KoszulComplex(elements, module, order)
+    complex_ = KoszulComplex(elements, module)
     for p in range(1, complex_.d + 1):
-        if not presented_is_zero(complex_.homology(p), order):
+        if not presented_is_zero(complex_.homology(p)):
             return False
     return True
 
 
-def self_duality_check(elements, module, p, box_radius=3, order=GREVLEX):
+def self_duality_check(elements, module, p, box_radius=3):
     """Compare graded Hilbert functions of H_p and H^(d-p) on a box."""
     box = box_around(module.n, box_radius)
-    complex_ = KoszulComplex(elements, module, order)
+    complex_ = KoszulComplex(elements, module)
     h_low = hilbert_function_box(complex_.homology(p), box)
     h_high = hilbert_function_box(complex_.cohomology(complex_.d - p), box)
     return h_low == h_high

@@ -21,24 +21,23 @@ missing some variable of J; that span is a union of full simplices, so its
 cohomology equals the cohomology of the nerve of that cover, a complex on
 at most |J| vertices.  `literal_pattern_cohomology` builds the 0/+-1
 coboundary matrices of the subset complex itself and takes exact ranks; it
-is the oracle the tests hold the nerve route to.  No production path calls
-either oracle.
+is the oracle the tests hold the nerve route to.  Both take a pattern as
+its ray indices and return {level p: dimension} on its nonzero levels.  No
+production path calls either oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .fan import SquarefreeMonomial, irrelevant_generators, require_valid
-from .grading import SignPattern, ray_indices
+from .grading import ray_indices
 from .homalg import (
     PresentedModule,
     box_around,
-    check_box_size,
     ext_presentation,
     free_resolution,
     hilbert_function_box,
@@ -50,15 +49,6 @@ from .ring import Poly
 LITERAL_CELL_LIMIT = 1 << 16
 # the sphere route keeps a few int64 arrays over the 2^n pattern masks
 MAX_TABLE_RAYS = 22
-
-
-@dataclass
-class SignPatternCohomology:
-    """Nonzero limit cohomology dimensions for one sign pattern, as the
-    oracles `pattern_cohomology` and `literal_pattern_cohomology` give them."""
-
-    pattern: SignPattern
-    dims: dict = field(default_factory=dict)  # level p -> dimension > 0
 
 
 def _supports(gens):
@@ -83,11 +73,11 @@ class PatternComplexError(RuntimeError):
 
 def _pattern_setup(gens, pattern, n):
     """(supports, negative support, minimal family of the generator sets
-    hitting each negative variable); the family is None when the pattern's
-    cohomology vanishes outright (empty pattern, or a negative variable in
-    no generator)."""
+    hitting each negative variable) for a pattern given by its ray indices;
+    the family is None when the pattern's cohomology vanishes outright
+    (empty pattern, or a negative variable in no generator)."""
     supports = _supports(gens)
-    neg = frozenset(pattern.negative if isinstance(pattern, SignPattern) else pattern)
+    neg = frozenset(pattern)
     if any(not 1 <= v <= n for v in neg):
         raise ValueError("pattern indices must lie in 1..%d" % n)
     if not neg:
@@ -112,7 +102,7 @@ def literal_pattern_cohomology(gens, pattern, n):
     up to 2^t cells, so it refuses complexes above LITERAL_CELL_LIMIT."""
     supports, neg, family = _pattern_setup(gens, pattern, n)
     if family is None:
-        return SignPatternCohomology(SignPattern(neg), {})
+        return {}
     t = len(supports)
     var_masks = sorted(sum(1 << i for i in g) for g in family)
     masks = surviving_masks(t, var_masks)
@@ -155,7 +145,7 @@ def literal_pattern_cohomology(gens, pattern, n):
         if d:
             dims[p] = d
     _check_level_bounds(dims, t, n)
-    return SignPatternCohomology(SignPattern(neg), dims)
+    return dims
 
 
 def _coboundary_rank(lower, upper):
@@ -213,28 +203,25 @@ def _nerve_route_dims(supports, neg):
 
 
 def pattern_cohomology(gens, pattern, n):
-    """Limit cohomology dimensions of the coordinate ring in any fine degree
-    with the given negative support; constant across such degrees.
+    """Limit cohomology dimensions {level p: dimension > 0} of the coordinate
+    ring in any fine degree whose negative support is `pattern`, an iterable
+    of ray indices; constant across such degrees.
 
     gens are squarefree monomials (the irrelevant ideal's minimal basis), or
     any family of supports: this is the general oracle for `pattern_table`,
     which needs a validated fan."""
     supports, neg, family = _pattern_setup(gens, pattern, n)
-    result_pattern = SignPattern(neg)
     if family is None:
-        return SignPatternCohomology(result_pattern, {})
+        return {}
     dims = _nerve_route_dims(supports, neg)
     _check_level_bounds(dims, len(supports), n)
-    return SignPatternCohomology(result_pattern, dims)
+    return dims
 
 
 def all_patterns(n):
-    """All sign patterns in subset-lexicographic order."""
-    out = []
-    for size in range(n + 1):
-        for c in combinations(range(1, n + 1), size):
-            out.append(SignPattern(c))
-    return out
+    """Every pattern over n rays as an ascending tuple of ray indices, by
+    size, then lexicographically."""
+    return [c for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
 
 
 def _subset_closure(n, tops):
@@ -434,9 +421,10 @@ def bracket_power_module(gens, n, m):
     return PresentedModule.quotient_by(polys, n)
 
 
-def ext_limit_oracle(fan, m, p, box_radius=2, box=None):
-    """Hilbert function of Ext^p(S/<gens^m>, S) over the box, where gens
-    generate the fan's irrelevant ideal.
+def ext_limit_oracle(fan, m, p, box_radius=2):
+    """Hilbert function of Ext^p(S/<gens^m>, S) over the box
+    [-box_radius, box_radius]^n, where gens generate the fan's irrelevant
+    ideal; `box_around` refuses an oversized box before anything resolves.
 
     Degree convention: the fine grading is tracked through the resolution
     and its dual, so a class appears at its limit degree directly: at stage
@@ -452,17 +440,14 @@ def ext_limit_oracle(fan, m, p, box_radius=2, box=None):
     if m < 1:
         raise ValueError("stage m must be >= 1")
     n = fan.n_rays
-    if box is None:
-        box = box_around(n, box_radius)
-    else:
-        check_box_size(box)
+    box = box_around(n, box_radius)
     stage = fan.cache.get("ext_stage")
     if stage is None or stage[0] != m:
         module = bracket_power_module(irrelevant_generators(fan), n, m)
         stage = fan.cache["ext_stage"] = (m, module, free_resolution(module))
     _, module, res = stage
     ext = ext_presentation(p, module, PresentedModule.free(n), resolution=res)
-    return hilbert_function_box(ext, list(box))
+    return hilbert_function_box(ext, box)
 
 
 def negative_support(degree):

@@ -223,12 +223,12 @@ def parse_poly(text, n):
 
 
 class FreeModuleElement:
-    """A vector of polynomials in a free module R^rank, optionally with
-    per-position fine-degree shifts."""
+    """A vector of polynomials in a free module R^rank.  Its fine-degree
+    shifts belong to the ambient (PresentedModule.shifts)."""
 
-    __slots__ = ("rank", "n", "entries", "shifts")
+    __slots__ = ("rank", "n", "entries")
 
-    def __init__(self, rank, n, entries=None, shifts=None):
+    def __init__(self, rank, n, entries=None):
         if rank < 1:
             raise RingError("rank must be positive")
         self.rank = rank
@@ -239,7 +239,6 @@ class FreeModuleElement:
             if len(entries) != rank:
                 raise RingError("entry count %d != rank %d" % (len(entries), rank))
             self.entries = list(entries)
-        self.shifts = None if shifts is None else [tuple(s) for s in shifts]
 
     @staticmethod
     def unit(rank, n, position, poly=None):
@@ -247,10 +246,6 @@ class FreeModuleElement:
         v = FreeModuleElement(rank, n)
         v.entries[position] = poly if poly is not None else Poly.const(n, 1)
         return v
-
-    @staticmethod
-    def from_poly(p):
-        return FreeModuleElement(1, p.n, [p])
 
     def is_zero(self):
         return all(e.is_zero() for e in self.entries)
@@ -272,25 +267,25 @@ class FreeModuleElement:
         if self.rank != other.rank:
             raise RingError("rank mismatch")
         return FreeModuleElement(
-            self.rank, self.n, [a + b for a, b in zip(self.entries, other.entries)], self.shifts
+            self.rank, self.n, [a + b for a, b in zip(self.entries, other.entries)]
         )
 
     def __neg__(self):
-        return FreeModuleElement(self.rank, self.n, [-e for e in self.entries], self.shifts)
+        return FreeModuleElement(self.rank, self.n, [-e for e in self.entries])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return FreeModuleElement(self.rank, self.n, [e.scale(c) for e in self.entries], self.shifts)
+        return FreeModuleElement(self.rank, self.n, [e.scale(c) for e in self.entries])
 
     def mono_mul(self, exponents, coeff=1):
         return FreeModuleElement(
-            self.rank, self.n, [e.mono_mul(exponents, coeff) for e in self.entries], self.shifts
+            self.rank, self.n, [e.mono_mul(exponents, coeff) for e in self.entries]
         )
 
     def poly_mul(self, p):
-        return FreeModuleElement(self.rank, self.n, [e * p for e in self.entries], self.shifts)
+        return FreeModuleElement(self.rank, self.n, [e * p for e in self.entries])
 
     def iter_terms(self):
         for pos, poly in enumerate(self.entries):
@@ -301,14 +296,11 @@ class FreeModuleElement:
         return sum(len(p.terms) for p in self.entries)
 
     def fine_degree(self, ambient_shifts=None):
-        """Common Z^n degree of all terms, with shift j added to entry j.
-
-        ambient_shifts defaults to self.shifts, then to all-zero.
-        """
-        shifts = ambient_shifts if ambient_shifts is not None else self.shifts
+        """Common Z^n degree of all terms, with ambient_shifts[j] added to
+        entry j; no shifts (None) means all-zero.  None for the zero vector."""
         deg = None
         for pos, e, _ in self.iter_terms():
-            s = shifts[pos] if shifts else (0,) * self.n
+            s = ambient_shifts[pos] if ambient_shifts else (0,) * self.n
             d = tuple(a + b for a, b in zip(e, s))
             if deg is None:
                 deg = d

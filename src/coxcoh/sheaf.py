@@ -204,16 +204,17 @@ def degree0_unbounded(rays, masks):
     return flagged
 
 
-def sheaf_cohomology_dim(fan, alpha, p, report=None):
-    """Dimension of H^p of the twisting sheaf of class alpha."""
+def sheaf_cohomology_dim(fan, alpha, p):
+    """Dimension of H^p of the twisting sheaf of class alpha; GradingError
+    when alpha does not have the shape of the fan's grading."""
     n = fan.n_rays
     if not 0 <= p <= n:
         raise ValueError("cohomological index %d out of range 0..%d" % (p, n))
-    if report is None:
-        report = cohomology_of_U(fan)
+    masks, mults = cohomology_of_U(fan).cones.get(p, ((), ()))
     grading = fan_grading(fan)
     total = component_dimension(grading, alpha) if p == 0 else 0
-    masks, mults = report.cones.get(p, ((), ()))
+    if p and not masks:  # no count reads alpha, so check its shape here
+        grading.class_from_free(alpha.free, alpha.torsion)
     for mask, mult in zip(masks, mults):
         total += mult * grading.count_degrees(alpha, mask)
     return total
@@ -229,7 +230,7 @@ def cohomology_table(fan, degrees, ps=None):
     per = []
     for alpha in degrees:
         for p in ps:
-            dim = sheaf_cohomology_dim(fan, alpha, p, report=base)
+            dim = sheaf_cohomology_dim(fan, alpha, p)
             per.append(
                 {"alpha": list(alpha.free) + list(alpha.torsion), "p": p, "dim": dim}
             )

@@ -2,7 +2,7 @@ import runpy
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, floor, gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,10 +11,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from coxcoh.fan import parse_fan  # noqa: E402
+from coxcoh.fan import Fan, parse_fan  # noqa: E402
 from coxcoh.fans import projective_space_fan, weighted_projective_fan  # noqa: E402
 from coxcoh.grading import GradingClass, grading_group, match_degree_basis, ray_indices  # noqa: E402
-from coxcoh.homalg import box_around  # noqa: E402
 from coxcoh.linalg import nullspace_rational, solve_rational  # noqa: E402
 from coxcoh.localcoh import ext_limit_oracle  # noqa: E402
 
@@ -70,6 +69,34 @@ def table_rows(table):
         (ray_indices(mask), {k + 2: v for k, v in enumerate(column) if v})
         for mask, column in zip(table.masks.tolist(), table.dims.T.tolist())
     ]
+
+
+def subdivide_face(fan, face):
+    """Stellar subdivision of a fan at a face (ray indices) of a maximal
+    cone: a new ray at the primitive sum of the face's rays, and every
+    maximal cone holding the face split into the cones that trade one ray
+    of the face for the new one."""
+    ray = [sum(col) for col in zip(*fan.cone_rays(face))]
+    g = gcd(*ray)
+    new = fan.n_rays + 1
+    cones = []
+    for cone in fan.max_cones:
+        if set(face) <= set(cone):
+            cones += [tuple(sorted(new if i == j else i for i in cone)) for j in face]
+        else:
+            cones.append(cone)
+    return Fan(fan.dim, fan.rays + (tuple(x // g for x in ray),), tuple(cones))
+
+
+def face_subdivided_fan(d, k, rng):
+    """P^d after k stellar subdivisions, each at a face of 2 or 3 rays of a
+    random maximal cone.  The fans are smooth and, unlike P^d+k, not stacked
+    spheres, so their patterns reach the middle degrees."""
+    fan = projective_space_fan(d)
+    for _ in range(k):
+        cone = rng.choice(fan.max_cones)
+        fan = subdivide_face(fan, tuple(rng.sample(cone, rng.randint(2, min(3, d)))))
+    return fan
 
 
 def _pattern_rows(grading, negative, alpha):
@@ -195,7 +222,7 @@ def stage1_ext_table():
     def table(fan, p):
         key = (fan, p)
         if key not in tables:
-            tables[key] = ext_limit_oracle(fan, 1, p, box=box_around(fan.n_rays, 2))
+            tables[key] = ext_limit_oracle(fan, 1, p, box_radius=2)
         return tables[key]
 
     return table

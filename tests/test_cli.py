@@ -5,6 +5,7 @@ import pytest
 
 from coxcoh import cli
 from coxcoh.cli import main
+from coxcoh.fan import parse_fan
 
 from conftest import FANS_DIR, PSEUDO_FAN_TEXT
 
@@ -223,41 +224,83 @@ def test_cohomology_u_text_output(capsys):
     assert "note:" in out
 
 
-# SHA-256 of the --json output of each subcommand on each shipped fan.  A
-# change to any of these documents must be deliberate: update the digest and
-# say why in CHANGES.md.
+# SHA-256 of the --json output of each subcommand on each shipped fan, its
+# documents in order where it runs more than once (see cli_runs).  A change
+# to any of these documents must be deliberate: update the digest and say
+# why in CHANGES.md.  fano8 pins no ext-oracle or koszul-check: they take
+# 4 s and 6 s there.
 CLI_DIGESTS = {
     "blowup_p112236.fan": {
         "validate": "6b51aa3567f19c9cb7ed8ad691e8e573b578548363179324859c49d08c1e2184",
         "irrelevant": "429bc751d5a1cfbb4afa93fc8b4b5573307352362bfb0d7069b735afc4b7b9e0",
         "grading": "81b5ddbab53b8d6042a550597e672ff8a43a3663585c233e5d899b72071402a4",
         "cohomology-u": "247dc4dccdc163011b65270d37d0e3954764c022e58b924fcf79f3d2b669d8d7",
+        "sheaf": "44533b36145ce92637f0770e3740b065c4cf02b18b0d89c38ef4709bd363a39e",
     },
     "blowup_p11336.fan": {
         "validate": "2c5601dcac8523f373b6d5058a5e169db74454b1355bfc152ebd75b425378279",
         "irrelevant": "03934c77e7fb5a0ccebb5291822b31af22ca6888faa9819b541566d4b8960db3",
         "grading": "2a12178f5cb37813f04e4a5cf5fb0be4c1d9e68b6ea66e2d849dae636ed4c374",
         "cohomology-u": "7df3d927ca7a189290d70381a45c17b8cf946bc0d9fdc11cf148ab5fac4a9bab",
+        "sheaf": "767c43955b95991f3e2432e82c0d2396b330899b12f830d14dddd384a88de47e",
+        "ext-oracle": "c9aa63de3ea7da24fa9c6791587020d2e715fd10a35d0f3cedc8045f78648cc0",
+        "koszul-check": "38e58a54086df84a4e0a5daeefbd3e2eded6f393533f05d9322c3910b1722a41",
     },
     "p1.fan": {
         "validate": "d8ca557a81c811432bfaf1323baec6eccdee07e91c5f689b0fecda40c8a789f6",
         "irrelevant": "18a7fce4f7253418611e9830d255c1da958798ab8dd0619d7afd46134cfb396e",
         "grading": "1e8ce7ae06faca5d1128f15dfa47ae38c60a09fa1660f2f30c09972db1a09dba",
         "cohomology-u": "a8690bd04f0cd20c1d03a78129dd20cc8f2816bf44ce84a3edd3487fdc380e7a",
+        "sheaf": "5266467765afa49f06821b0e31a6a916284dd5a48139de787cc4556ef1883d69",
+        "ext-oracle": "2dc1500402f4b5283137f0726dd6311a25271c29993518b4311b4b146bb06c8b",
+        "koszul-check": "1e14d1f199878535fd091fe9f4b651cdccffa7e7154ec663f28756d05ba8d8e9",
     },
     "p112.fan": {
         "validate": "8bdb102e29bd9973fd2fe774108c78100bca666a9f4a8cbbc8ddd74feff7392e",
         "irrelevant": "f7ca2e833e8bda6a9e3dd4e4c753e48816231c90657529fb4db9d12e3e716438",
         "grading": "b44f0ec2909f6941ed2f77f6e5d2876c6f7453c5319e8db389efe6136c245830",
         "cohomology-u": "82245f94446305fcf42f6d2b9dca1157dcb4ad47609ab5ad563d866a82fdd22b",
+        "sheaf": "66aed2251d441d6cafa6d4161b92a317ab1ca2dc8f4c8555fd1d5e05f3fb01e8",
+        "ext-oracle": "591ce07ca8e9b10b35949864ecb66a4fc05871904bbbd3a80063292692a43406",
+        "koszul-check": "72aebe72bf82fa915e6331fc6569c809c731dc801fa0e7ec939aa21c1ca51cfc",
     },
     "p2.fan": {
         "validate": "8bdb102e29bd9973fd2fe774108c78100bca666a9f4a8cbbc8ddd74feff7392e",
         "irrelevant": "f7ca2e833e8bda6a9e3dd4e4c753e48816231c90657529fb4db9d12e3e716438",
         "grading": "98d86f7bd2d1aa28e8d54d86fb61305d677d99629a4af0ce3458df8b4f22e2ee",
         "cohomology-u": "53122d27ebe832b7d6db6c624f4e5292a249f79818e41b58782d0b49549dd5c5",
+        "sheaf": "e4005a7fdee9dfb0e83f02fe29bfae2257ee4270952308f39945f416771b7821",
+        "ext-oracle": "591ce07ca8e9b10b35949864ecb66a4fc05871904bbbd3a80063292692a43406",
+        "koszul-check": "72aebe72bf82fa915e6331fc6569c809c731dc801fa0e7ec939aa21c1ca51cfc",
     },
 }
+
+
+# a few classes per shipped fan for `sheaf`, in the fan's Smith basis
+SHEAF_DEGREES = {
+    "blowup_p112236.fan": "-1,0,1;0,0,0;1,1,1",
+    "blowup_p11336.fan": "-2,-1;0,0;1,2",
+    "p1.fan": "-3;0;2",
+    "p112.fan": "-4;-1;3",
+    "p2.fan": "-4;-1;2",
+}
+
+
+def cli_runs(subcommand, name):
+    """The argument lists whose --json documents one digest pins: sheaf at
+    every p of a few classes, ext-oracle at radius 1 and every p = 0..n,
+    koszul-check at level 1, and the rest on the fan alone."""
+    path = str(FANS_DIR / name)
+    if subcommand == "sheaf":
+        return [[subcommand, path, "--degree=" + SHEAF_DEGREES[name], "--json"]]
+    if subcommand == "ext-oracle":
+        n = parse_fan((FANS_DIR / name).read_text()).n_rays
+        return [
+            [subcommand, path, "--box-radius", "1", "--p", str(p), "--json"] for p in range(n + 1)
+        ]
+    if subcommand == "koszul-check":
+        return [[subcommand, path, "--p", "1", "--json"]]
+    return [[subcommand, path, "--json"]]
 
 
 def test_cli_digests_cover_every_shipped_fan():
@@ -267,9 +310,12 @@ def test_cli_digests_cover_every_shipped_fan():
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
 def test_cli_json_is_byte_identical(name, capsys):
     for subcommand, digest in CLI_DIGESTS[name].items():
-        code, out, err = run_cli(capsys, subcommand, str(FANS_DIR / name), "--json")
-        assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, subcommand
+        outs = []
+        for argv in cli_runs(subcommand, name):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == "", argv
+            outs.append(out)
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest, subcommand
 
 
 # SHA-256 of `cohomology-u --json` on generated fans, P^d after k stellar

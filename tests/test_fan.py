@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from coxcoh.fan import (
     require_valid,
     validate_fan,
 )
-from coxcoh.sheaf import cohomology_of_U
+from coxcoh.sheaf import cohomology_of_U, report_to_json
 from conftest import FANO7_IDEAL, FANO8_IDEAL, FANS_DIR, PSEUDO_FAN_TEXT
 
 P1_TEXT = "dim 1\nrays 2\n1\n-1\nmaxcones 2\n1\n2\n"
@@ -127,6 +128,42 @@ def test_fan_built_in_code_with_a_cone_index_out_of_range_is_refused(index):
         require_valid(fan)
     with pytest.raises(FanError, match="fan failed validation"):
         cohomology_of_U(fan)
+
+
+@pytest.mark.parametrize(
+    "cones, message",
+    [
+        (((1, 2, 3), (1, 2), (2, 3)), "cone 1 has size 3, expected 2"),
+        (((1, 2), (2,), (1, 3), (2, 3)), "cone 2 has size 1, expected 2"),
+    ],
+)
+def test_fan_built_in_code_with_a_cone_of_the_wrong_size_is_refused(cones, message):
+    # parse_fan reads exactly d indices per cone; on a Fan built in code a
+    # d x d determinant of another number of rays is never taken
+    fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), cones)
+    rep = validate_fan(fan)
+    assert not (rep.simplicial or rep.complete or rep.wall_condition)
+    assert list(rep.messages) == [message]
+    with pytest.raises(FanError, match=message):
+        require_valid(fan)
+
+
+def test_fan_built_in_code_with_cones_in_any_index_order_is_valid(fano8_fan):
+    # a wall is keyed by its ascending indices, so two cones that list its
+    # rays in different orders still share it
+    rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+    shuffled = Fan(3, rays, ((2, 1, 3), (1, 2, 4), (3, 1, 4), (2, 3, 4)))
+    ordered = Fan(3, rays, tuple(tuple(sorted(cone)) for cone in shuffled.max_cones))
+    rng = random.Random(8)
+    fano8 = Fan(
+        fano8_fan.dim,
+        fano8_fan.rays,
+        tuple(tuple(rng.sample(cone, len(cone))) for cone in fano8_fan.max_cones),
+    )
+    for fan, same in ((shuffled, ordered), (fano8, fano8_fan)):
+        assert validate_fan(fan).ok(), validate_fan(fan).messages
+        doc = json.dumps(report_to_json(cohomology_of_U(fan)))
+        assert doc == json.dumps(report_to_json(cohomology_of_U(same)))
 
 
 def test_complete_is_a_bool_on_shipped_fans_and_relabelings(fano7_fan):

@@ -85,15 +85,14 @@ def test_module_element_operations():
 
 def test_fine_degree_tracking():
     n = 2
-    v = FreeModuleElement(2, n, [Poly.variable(n, 1), Poly.zero(n)], shifts=[(0, 0), (1, 0)])
-    assert v.fine_degree() == (1, 0)
-    w = FreeModuleElement(
-        2, n, [Poly.variable(n, 1), Poly.const(n, 1)], shifts=[(0, 0), (1, 0)]
-    )
-    assert w.fine_degree() == (1, 0)
-    bad = FreeModuleElement(2, n, [Poly.variable(n, 1), Poly.variable(n, 2)], shifts=[(0, 0), (1, 0)])
+    shifts = [(0, 0), (1, 0)]
+    v = FreeModuleElement(2, n, [Poly.variable(n, 1), Poly.zero(n)])
+    assert v.fine_degree(shifts) == (1, 0)
+    w = FreeModuleElement(2, n, [Poly.variable(n, 1), Poly.const(n, 1)])
+    assert w.fine_degree(shifts) == (1, 0)
+    bad = FreeModuleElement(2, n, [Poly.variable(n, 1), Poly.variable(n, 2)])
     with pytest.raises(RingError):
-        bad.fine_degree()
+        bad.fine_degree(shifts)
 
 
 def test_component_dimension_p2(p2_fan):
