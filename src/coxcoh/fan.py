@@ -199,11 +199,13 @@ def validate_fan(fan):
     """Check simpliciality and the wall condition, and decide completeness
     exactly from the walls.  A fan whose rays repeat, or include one in no
     maximal cone, is not complete: parse_fan refuses both, and a Fan built
-    in code is held to the same rule here.  So is a cone naming a ray index
-    outside 1..n, or holding other than d indices; it is reported before
-    any determinant is taken, and the report then claims nothing
-    (simplicial, complete and wall condition all false).  A wall is keyed
-    by its ascending indices, whatever order its cones list them in.
+    in code is held to the same rule here.  So is a ray with other than d
+    coordinates, a zero ray, a non-primitive ray (parse_fan's wording), and
+    a cone naming a ray index outside 1..n or holding other than d indices;
+    these are reported before any determinant is taken, and the report then
+    claims nothing (simplicial, complete and wall condition all false).  A
+    wall is keyed by its ascending indices, whatever order its cones list
+    them in.
 
     Proof of the completeness test.  Let the maximal cones be simplicial,
     let every wall (facet of a maximal cone) lie in exactly two maximal
@@ -235,6 +237,13 @@ def validate_fan(fan):
     """
     n, d = fan.n_rays, fan.dim
     messages = []
+    for ri, ray in enumerate(fan.rays, start=1):
+        if len(ray) != d:
+            messages.append("ray %d %s has size %d, expected %d" % (ri, tuple(ray), len(ray), d))
+        elif not any(ray):
+            messages.append("zero ray %d" % ri)
+        elif gcd(*ray) != 1:
+            messages.append("non-primitive ray %d: %s" % (ri, tuple(ray)))
     for ci, cone in enumerate(fan.max_cones, start=1):
         if len(cone) != d:
             messages.append("cone %d has size %d, expected %d" % (ci, len(cone), d))
@@ -242,7 +251,7 @@ def validate_fan(fan):
             "cone %d names ray index %d outside 1..%d" % (ci, i, n) for i in cone if not 1 <= i <= n
         )
     if messages:
-        # a d x d determinant needs d rays that exist
+        # a d x d determinant needs d rays that exist, each of d coordinates
         return FanReport(False, False, False, tuple(messages))
     cone_rays = [fan.cone_rays(cone) for cone in fan.max_cones]
     dets = [integer_det(rays) for rays in cone_rays]

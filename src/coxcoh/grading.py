@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
+from typing import NamedTuple
+
+import numpy as np
 
 from .linalg import _gauss_jordan, integer_det
 from .snf import mat_vec, smith_normal_form
@@ -76,6 +79,7 @@ class GradingGroup:
         self.ray_matrix = ray_matrix
         self._fibrations = {}  # pattern mask -> _Fibration
         self._rows = {}  # one shared copy of each row the fibrations hold
+        self._last_bound = None  # (alpha as given, its _BoundClass)
 
     # -- degree map ---------------------------------------------------
     def degree_of(self, exponents):
@@ -113,6 +117,23 @@ class GradingGroup:
             y[r] = alpha.torsion[j]
         return mat_vec(self._uinv, y)
 
+    def bind(self, alpha):
+        """alpha checked against the grading's shape and lifted to a
+        particular solution a0, as a _BoundClass.  The grading keeps the
+        last class it bound, so the patterns of one class, asked in turn,
+        share one check and one lift.
+
+        Raises GradingError when alpha does not have the grading's shape."""
+        last = self._last_bound
+        if last is not None and last[0] == alpha:
+            return last[1]
+        reduced = self.class_from_free(alpha.free, alpha.torsion)
+        a0 = self._particular_solution(reduced)
+        size = max(map(abs, a0))
+        bound = _BoundClass(reduced, a0, _int_array(a0, size), size)
+        self._last_bound = (alpha, bound)  # one assignment, so readers see a pair
+        return bound
+
     # -- lattice points of a sign-pattern region -------------------------
     def _fibration(self, mask):
         """The pattern's cached _Fibration; built once, from the mask alone."""
@@ -126,29 +147,28 @@ class GradingGroup:
         return fib
 
     def _region(self, alpha, mask):
-        """The particular solution a0 of alpha and the pattern's levels bound
-        to it (None when the region is visibly empty)."""
-        alpha = self.class_from_free(alpha.free, alpha.torsion)
+        """The bound class of alpha, the pattern's _Fibration, and its levels
+        bound to the class (None when the region is visibly empty)."""
+        bound = self.bind(alpha)
         fib = self._fibration(mask)
         if not fib.bounded:
             raise UnboundedRegionError(
                 "degree region for %s with pattern %s is unbounded"
-                % (alpha, list(ray_indices(mask)))
+                % (bound.alpha, list(ray_indices(mask)))
             )
-        a0 = self._particular_solution(alpha)
-        return a0, fib.bind(a0, mask)
+        return bound, fib, fib.bind(bound)
 
     def count_degrees(self, alpha, mask):
         """Number of exponent vectors that enumerate_degrees(alpha, mask)
-        would return, counted without materialising them.
+        would return, counted without materialising them: the sum of the
+        innermost interval lengths of the pattern's levels, walked level by
+        level (see _Fibration.count).
 
         Raises GradingError when alpha does not have the grading's shape, and
         UnboundedRegionError when the region is an unbounded polyhedron.
         """
-        _, levels = self._region(alpha, mask)
-        if levels is None:
-            return 0
-        return sum(hi - lo + 1 for _, lo, hi in _fibres(levels))
+        _, fib, bound_levels = self._region(alpha, mask)
+        return 0 if bound_levels is None else fib.count(*bound_levels)
 
     def enumerate_degrees(self, alpha, mask):
         """All exponent vectors of degree alpha whose negative support is
@@ -157,19 +177,51 @@ class GradingGroup:
 
         Raises GradingError when alpha does not have the grading's shape, and
         UnboundedRegionError when the region is an unbounded polyhedron.
-        Output is sorted lexicographically.
+        Output is sorted lexicographically.  The tests use it as the oracle
+        of count_degrees: it walks the same levels one prefix at a time.
         """
-        a0, levels = self._region(alpha, mask)
-        if levels is None:
+        bound, _, bound_levels = self._region(alpha, mask)
+        if bound_levels is None:
             return []
         kb = self._kernel_basis
         last = [row[-1] for row in kb]
         out = []
-        for prefix, lo, hi in _fibres(levels):
-            base = [a + sum(map(mul, row, prefix)) for a, row in zip(a0, kb)]
+        for prefix, lo, hi in _fibres(bound_levels[0]):
+            base = [a + sum(map(mul, row, prefix)) for a, row in zip(bound.a0, kb)]
             for t in range(lo, hi + 1):
                 out.append(tuple(b + k * t for b, k in zip(base, last)))
         return sorted(out)
+
+
+class _BoundClass(NamedTuple):
+    """A degree class checked against its grading and lifted: a0 is a
+    particular solution, `vector` is a0 as an array (int64, or Python ints
+    when it is too large) and `size` is max |a0_i|."""
+
+    alpha: GradingClass
+    a0: list
+    vector: np.ndarray
+    size: int
+
+
+# A frontier wider than this many prefixes is walked in numpy: below it a
+# prefix's interval is cheaper in Python than numpy's fixed cost per call.
+# On fano8's degree-queries classes any value from 4 to 64 took the same
+# time, and 256 took half as long again on the large classes.
+_WIDE = 32
+# Rows of a numpy frontier expanded at once, so memory does not grow with
+# the degree.  fano8's h^0(O(8D)) took the same time at 2^10 to 2^18 rows,
+# while peak RSS grew from 30 to 98 MB.
+_CHUNK_ROWS = 1 << 12
+# Arrays whose magnitudes may reach this are held as Python ints (dtype
+# object), which cannot overflow.
+_INT64_LIMIT = 1 << 62
+
+
+def _int_array(values, bound):
+    """values as an int64 array, or as Python ints when `bound`, a bound on
+    every magnitude computed from them, reaches _INT64_LIMIT."""
+    return np.array(values, dtype=np.int64 if bound < _INT64_LIMIT else object)
 
 
 class _Fibration:
@@ -188,11 +240,19 @@ class _Fibration:
     A row left with no coefficients is a condition 0 >= lam . c; one that
     fails shows the region empty before any walking.
 
+    With b the mask's bits, c = b + (2b - 1) * a0, so every right-hand side
+    is weights . a0 + offset with the pattern's fixed integer weights
+    lam * (2b - 1) and offset lam . b.  The weights of the conditions and of
+    every level row are stacked in one matrix, so binding a class is one
+    matrix-vector product.  The coefficients of the level rows are stacked
+    the same way, level by level and lower rows first, for the numpy walk
+    (count).
+
     A projection is bounded iff its recession cone is, so the region is
     bounded iff every level has rows of both signs on its own coordinate.
     """
 
-    __slots__ = ("levels", "conditions", "bounded")
+    __slots__ = ("levels", "conditions", "bounded", "_weights", "_offsets", "_reach", "_coefs")
 
     def __init__(self, kernel_basis, mask, d, intern):
         """Patterns of one grading share most rows; `intern` (a dict's
@@ -225,19 +285,128 @@ class _Fibration:
         self.conditions = tuple(conditions)
         self.levels = tuple(levels)
         self.bounded = all(lower and upper for lower, upper in levels)
+        level_rows = [row for level in levels for side in level for row in side]
+        lams = self.conditions + tuple(lam for _, lam in level_rows)
+        # |weights . a0 + offsets| <= _reach * (max |a0_i| + 1)
+        self._reach = max(map(sum, lams), default=0)
+        lams = _int_array(lams, self._reach).reshape(-1, n)
+        bits = np.array([mask >> i & 1 for i in range(n)], dtype=np.int64)
+        self._weights = lams * (2 * bits - 1)
+        self._offsets = lams @ bits
+        coefs = [coef for coef, _ in level_rows]
+        size = max((max(map(abs, coef)) for coef in coefs), default=0)
+        self._coefs = _int_array(coefs, size).reshape(-1, d)
 
-    def bind(self, a0, mask):
-        """Per-level (lower, upper) rows (a_k, coefficients, rhs) for the
-        degree with particular solution a0, each row meaning
-        coefficients . t >= rhs; None if some derived condition already
-        shows the region empty."""
-        c = [1 + a if mask >> i & 1 else -a for i, a in enumerate(a0)]
-        if any(sum(map(mul, lam, c)) > 0 for lam in self.conditions):
+    def bind(self, bound):
+        """The levels bound to a class: per level, (lower, upper) rows
+        (a_k, coefficients, rhs), each meaning coefficients . t >= rhs, and
+        the right-hand sides of those rows as one array, level by level.
+        None if some derived condition already shows the region empty."""
+        vector = bound.vector
+        if vector.dtype != object and (bound.size + 1) * self._reach >= _INT64_LIMIT:
+            vector = vector.astype(object)
+        rhs = self._weights @ vector + self._offsets
+        values = rhs.tolist()
+        nc = len(self.conditions)
+        if any(r > 0 for r in values[:nc]):
             return None
-        return [
-            tuple([(coef[k], coef, sum(map(mul, lam, c))) for coef, lam in side] for side in level)
+        values = iter(values[nc:])
+        levels = [
+            tuple([(coef[k], coef, next(values)) for coef, _ in side] for side in level)
             for k, level in enumerate(self.levels)
         ]
+        return levels, rhs[nc:]
+
+    def count(self, levels, rhs):
+        """Number of integer points of the bound levels, walked level by
+        level.  The frontier of prefixes t_0..t_{k-1} starts as the empty
+        prefix; each prefix takes its interval of t_k in Python.  At the
+        last level the interval lengths are added up.  While the intervals
+        hold at most _WIDE values in all, the next frontier is every prefix
+        extended by every value; once they hold more, the remaining levels
+        go to the numpy walk (_walk), whose values are bounded first
+        (_walk_bound) to choose int64 or Python ints."""
+        d = len(levels)
+        frontier = [()]
+        for k, level in enumerate(levels):
+            spans = []
+            width = 0
+            for prefix in frontier:
+                lo, hi = _interval(level, prefix)
+                if lo <= hi:
+                    spans.append((prefix, lo, hi))
+                    width += hi - lo + 1
+            if k == d - 1 or not spans:
+                return width
+            if width > _WIDE:
+                bound = _walk_bound(levels, k, spans)
+                prefixes = _int_array([prefix for prefix, _, _ in spans], bound)
+                starts = _int_array([lo for _, lo, _ in spans], bound)
+                lengths = _int_array([hi - lo + 1 for _, lo, hi in spans], bound)
+                return self._walk(k, prefixes.reshape(len(spans), k), starts, lengths, rhs)
+            frontier = [(*prefix, t) for prefix, lo, hi in spans for t in range(lo, hi + 1)]
+
+    def _walk(self, k, prefixes, starts, lengths, rhs):
+        """Points over the prefixes t_0..t_{k-1}, row r with t_k running over
+        starts[r] .. starts[r] + lengths[r] - 1 (every length positive).
+
+        The extended prefixes are numbered 0..sum(lengths)-1 in row order
+        and made _CHUNK_ROWS at a time: number j belongs to the row whose
+        cumulative length first exceeds j, at offset j minus the lengths
+        before that row.  Each chunk takes its level-(k+1) intervals as
+        dot products and either adds their lengths (last level) or walks
+        on with its nonempty rows, so at most one chunk per level is held."""
+        at = sum(len(lower) + len(upper) for lower, upper in self.levels[:k + 1])
+        lower, upper = self.levels[k + 1]
+        mid, end = at + len(lower), at + len(lower) + len(upper)
+        c_lo, a_lo, r_lo = self._coefs[at:mid, :k + 1], self._coefs[at:mid, k + 1], rhs[at:mid]
+        c_up, a_up, r_up = self._coefs[mid:end, :k + 1], self._coefs[mid:end, k + 1], rhs[mid:end]
+        last = k + 2 == len(self.levels)
+        ends = np.cumsum(lengths)
+        before = ends - lengths
+        total = int(ends[-1])
+        count = 0
+        for first in range(0, total, _CHUNK_ROWS):
+            j = np.arange(first, min(first + _CHUNK_ROWS, total))
+            row = np.searchsorted(ends, j, side="right")
+            chunk = np.empty((len(j), k + 1), dtype=prefixes.dtype)
+            chunk[:, :k] = prefixes[row]
+            chunk[:, k] = starts[row] + (j - before[row])
+            lo = (-((chunk @ c_lo.T - r_lo) // a_lo)).max(axis=1)
+            hi = ((r_up - chunk @ c_up.T) // a_up).min(axis=1)
+            sizes = hi - lo + 1
+            if last:
+                count += int(np.maximum(sizes, 0).sum())
+            else:
+                keep = sizes > 0
+                if keep.any():
+                    count += self._walk(k + 1, chunk[keep], lo[keep], sizes[keep], rhs)
+        return count
+
+
+def _walk_bound(levels, k, spans):
+    """A bound on every magnitude the numpy walk below level k computes from
+    the frontier `spans` ((prefix, lo, hi) with lo <= hi): values of t,
+    partial dot products, right-hand sides, interval ends and lengths, and
+    sums of lengths over a chunk or over the frontier.
+
+    With |t_i| <= B_i for i < j, a row (a, coef, r) of level j has
+    |coef . t| <= S = sum |coef_i| B_i, so r - S bounds a . t_j from below:
+    t_j >= ceil((r - S) / a) on a lower row (a > 0) and t_j <= floor((r - S)
+    / a) on an upper one, which gives B_j.  Every interval end of level j
+    is then at most |r| + S + 1 in size."""
+    cols = list(zip(*((*prefix, lo, hi) for prefix, lo, hi in spans)))
+    bounds = [max(map(abs, col)) for col in cols[:k]] + [max(map(abs, cols[k] + cols[k + 1]))]
+    top = max(bounds)
+    for lower, upper in levels[k + 1:]:
+        edges = []
+        for a, coef, r in lower + upper:
+            s = sum(abs(x) * b for x, b in zip(coef, bounds))
+            top = max(top, abs(r) + s + 1)
+            edges.append(-((s - r) // a) if a > 0 else (r - s) // a)
+        # t_j lies between the largest lower edge and the smallest upper one
+        bounds.append(max(abs(max(edges[:len(lower)])), abs(min(edges[len(lower):]))))
+    return (2 * top + 2) * max(len(spans), _CHUNK_ROWS)
 
 
 def _add_row(rows, intern, coef, lam):
@@ -250,22 +419,27 @@ def _add_row(rows, intern, coef, lam):
     rows[intern(row, row)] = None
 
 
-def _fibres(levels):
-    """Walk the integer points of the bound levels: yields (t_0..t_{d-2},
-    lo, hi) for every prefix whose innermost interval lo <= t_{d-1} <= hi is
-    nonempty."""
-    d = len(levels)
+def _interval(level, prefix):
+    """The interval lo..hi of t_k over the prefix t_0..t_{k-1} at a bound
+    level (empty when lo > hi)."""
+    lower, upper = level
+    # map stops with the prefix, so coefficients on t_k.. are not summed
+    lo = max(-((sum(map(mul, coef, prefix)) - r) // a) for a, coef, r in lower)
+    hi = min((r - sum(map(mul, coef, prefix))) // a for a, coef, r in upper)
+    return lo, hi
 
-    def interval(k, prefix):
-        lower, upper = levels[k]
-        # map stops with the prefix, so coefficients on t_k.. are not summed
-        lo = max(-((sum(map(mul, coef, prefix)) - r) // a) for a, coef, r in lower)
-        hi = min((r - sum(map(mul, coef, prefix))) // a for a, coef, r in upper)
-        return lo, hi
+
+def _fibres(levels):
+    """Walk the integer points of the bound levels one prefix at a time, depth
+    first: yields (t_0..t_{d-2}, lo, hi) for every prefix whose innermost
+    interval lo <= t_{d-1} <= hi is nonempty.  enumerate_degrees lists its
+    points from these fibres; count_degrees walks the same levels level by
+    level (_Fibration.count)."""
+    d = len(levels)
 
     def walk(prefix):
         k = len(prefix)
-        lo, hi = interval(k, prefix)
+        lo, hi = _interval(levels[k], prefix)
         if lo > hi:
             return
         if k == d - 1:

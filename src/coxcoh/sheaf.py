@@ -214,7 +214,7 @@ def sheaf_cohomology_dim(fan, alpha, p):
     grading = fan_grading(fan)
     total = component_dimension(grading, alpha) if p == 0 else 0
     if p and not masks:  # no count reads alpha, so check its shape here
-        grading.class_from_free(alpha.free, alpha.torsion)
+        grading.bind(alpha)
     for mask, mult in zip(masks, mults):
         total += mult * grading.count_degrees(alpha, mask)
     return total

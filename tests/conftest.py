@@ -1,7 +1,7 @@
 import runpy
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil, floor, gcd
 from pathlib import Path
 from types import SimpleNamespace
@@ -86,6 +86,20 @@ def subdivide_face(fan, face):
         else:
             cones.append(cone)
     return Fan(fan.dim, fan.rays + (tuple(x // g for x in ray),), tuple(cones))
+
+
+def product_fan(*factors):
+    """The product of fans: each ray padded with zeros into its own block
+    of coordinates, the maximal cones the unions of one from each factor."""
+    dim = sum(f.dim for f in factors)
+    rays, blocks, offset, start = [], [], 0, 0
+    for f in factors:
+        rays += [(0,) * offset + ray + (0,) * (dim - offset - f.dim) for ray in f.rays]
+        blocks.append([tuple(i + start for i in cone) for cone in f.max_cones])
+        offset += f.dim
+        start += f.n_rays
+    cones = tuple(tuple(sorted(sum(parts, ()))) for parts in product(*blocks))
+    return Fan(dim, tuple(rays), cones)
 
 
 def face_subdivided_fan(d, k, rng):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -146,6 +147,30 @@ def test_fan_built_in_code_with_a_cone_of_the_wrong_size_is_refused(cones, messa
     assert list(rep.messages) == [message]
     with pytest.raises(FanError, match=message):
         require_valid(fan)
+
+
+@pytest.mark.parametrize(
+    "rays, message",
+    [
+        # P^2's cones on (2, 0): its degrees came out (1), (2), (2) and
+        # h^0(O(1)) as 1, where P^2 has degrees 1, 1, 1 and h^0(O(1)) = 3
+        (((2, 0), (0, 1), (-1, -1)), "non-primitive ray 1: (2, 0)"),
+        # a short ray used to raise a bare IndexError
+        (((1,), (0, 1), (-1, -1)), "ray 1 (1,) has size 1, expected 2"),
+        (((1, 0), (0, 0), (-1, -1)), "zero ray 2"),
+    ],
+)
+def test_fan_built_in_code_with_a_bad_ray_is_refused(rays, message):
+    # parse_fan refuses each of these rays with a line number; on a Fan
+    # built in code validate_fan refuses it before any determinant
+    fan = Fan(2, rays, ((1, 2), (2, 3), (1, 3)))
+    rep = validate_fan(fan)
+    assert not (rep.simplicial or rep.complete or rep.wall_condition)
+    assert list(rep.messages) == [message]
+    with pytest.raises(FanError, match=re.escape(message)):
+        require_valid(fan)
+    with pytest.raises(FanError, match="fan failed validation"):
+        cohomology_of_U(fan)
 
 
 def test_fan_built_in_code_with_cones_in_any_index_order_is_valid(fano8_fan):

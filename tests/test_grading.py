@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coxcoh import grading
 from coxcoh.grading import (
     GradingClass,
     GradingError,
@@ -209,6 +210,74 @@ def test_count_matches_enumeration_and_box_oracle(name):
                 assert tuple(a) in points
             checked += 1
     assert checked >= 8
+
+
+# a = (1,1,2,1,2,1,2,1) on fano8: h^0(O(kD)) for k = 1, 2, 4, with D the
+# class of x^a
+FANO8_D = (1, 1, 2, 1, 2, 1, 2, 1)
+FANO8_KD = {1: 2903, 2: 49910, 4: 1123083}
+
+
+def test_count_pinned_on_a_large_fano8_class(fano8_fan):
+    g = grading_group(fano8_fan)
+    assert g.count_degrees(g.degree_of([4 * x for x in FANO8_D]), 0) == FANO8_KD[4]
+
+
+@pytest.mark.parametrize("wide", [0, None])
+def test_count_walk_in_small_chunks(monkeypatch, wide, fano7_fan, fano8_fan, p112_fan):
+    # chunks of 7 rows cut the numpy frontier at many places; with a wide
+    # threshold of 0 every count goes to numpy after the first level's
+    # intervals, and None keeps the threshold the program uses
+    monkeypatch.setattr(grading, "_CHUNK_ROWS", 7)
+    if wide is None:
+        wide = grading._WIDE
+    monkeypatch.setattr(grading, "_WIDE", wide)
+    walk, rows = grading._Fibration._walk, []
+
+    def spy(self, k, prefixes, *args):
+        rows.append(len(prefixes))
+        return walk(self, k, prefixes, *args)
+
+    monkeypatch.setattr(grading._Fibration, "_walk", spy)
+    g8 = grading_group(fano8_fan)
+    for k in (1, 2):
+        assert g8.count_degrees(g8.degree_of([k * x for x in FANO8_D]), 0) == FANO8_KD[k]
+    assert rows and max(rows) <= max(7, wide)
+    rng = random.Random(wide)
+    for fan in (fano7_fan, fano8_fan, p112_fan):
+        g = grading_group(fan)
+        masks = [m for m in range(1 << g.n) if g._fibration(m).bounded]
+        for _ in range(6):
+            alpha = g.degree_of([rng.randint(-3, 4) for _ in range(g.n)])
+            for mask in masks:
+                assert g.count_degrees(alpha, mask) == len(g.enumerate_degrees(alpha, mask))
+    assert max(rows) <= max(7, wide)
+
+
+def test_bound_right_hand_sides_are_exact_past_int64(fano7_fan):
+    # every entry of a0 fits int64, but on four patterns some lam . c does
+    # not; each must still equal the definition in exact integers
+    g = grading_group(fano7_fan)
+    bound = g.bind(g.degree_of([0, 0, 0, 0, 0, 2**60, -(2**61 + 2**60)]))
+    assert bound.size < 2**62
+    past = 0
+    for mask in range(1 << g.n):
+        fib = g._fibration(mask)
+        if not fib.bounded:
+            continue
+        c = [1 + a if mask >> i & 1 else -a for i, a in enumerate(bound.a0)]
+
+        def rhs(lam):
+            return sum(m * x for m, x in zip(lam, c))
+
+        bound_levels = fib.bind(bound)
+        assert (bound_levels is None) == any(rhs(lam) > 0 for lam in fib.conditions)
+        wanted = [rhs(lam) for level in fib.levels for side in level for _, lam in side]
+        if bound_levels is not None:
+            got = [r for level in bound_levels[0] for side in level for _, _, r in side]
+            assert got == wanted == bound_levels[1].tolist()
+        past += max(map(abs, wanted)) >= 2**63
+    assert past == 4
 
 
 @pytest.mark.parametrize("name", ["p2_fan", "fano7_fan", "fano8_fan"])

@@ -1,7 +1,7 @@
 import gc
 import random
 import weakref
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -23,7 +23,7 @@ from coxcoh.localcoh import (
 )
 from coxcoh.ring import Poly
 
-from conftest import FANS_DIR, PSEUDO_FAN_TEXT, face_subdivided_fan, table_rows
+from conftest import FANS_DIR, PSEUDO_FAN_TEXT, face_subdivided_fan, product_fan, table_rows
 
 # seeded P^d+k covering every branch of the sphere route: d = 2 (degree 0
 # is also d-2), d = 3, d = 4 (Euler closes the middle), d = 5 (one rank),
@@ -38,20 +38,6 @@ SPHERE_PRODUCTS = [(2, 2), (2, 1, 1), (3, 1, 1), (3, 3), (4, 2, 1)]
 # (d, k, seed) of face-subdivided P^d, each of which has a nonzero pattern in
 # every degree 0..d-1; 9 rays reach them all for d = 4..6, 10 rays for d = 7
 SPHERE_FACE_SHAPES = [(4, 4, 0), (5, 3, 0), (6, 2, 0), (7, 2, 3)]
-
-
-def product_fan(*factors):
-    """The product of fans: each ray padded with zeros into its own block
-    of coordinates, the maximal cones the unions of one from each factor."""
-    dim = sum(f.dim for f in factors)
-    rays, blocks, offset, start = [], [], 0, 0
-    for f in factors:
-        rays += [(0,) * offset + ray + (0,) * (dim - offset - f.dim) for ray in f.rays]
-        blocks.append([tuple(i + start for i in cone) for cone in f.max_cones])
-        offset += f.dim
-        start += f.n_rays
-    cones = tuple(tuple(sorted(sum(parts, ()))) for parts in product(*blocks))
-    return Fan(dim, tuple(rays), cones)
 
 
 def supports_count(supports, neg, p):

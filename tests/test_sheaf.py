@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from math import comb
 
 import pytest
 
@@ -19,7 +20,14 @@ from coxcoh.sheaf import (
     sheaf_cohomology_dim,
 )
 
-from conftest import FANS_DIR, PSEUDO_FAN_TEXT, TORSION_FAN_TEXT, box_oracle, mask_of
+from conftest import (
+    FANS_DIR,
+    PSEUDO_FAN_TEXT,
+    TORSION_FAN_TEXT,
+    box_oracle,
+    mask_of,
+    product_fan,
+)
 
 
 def test_p2_report(p2_fan):
@@ -171,6 +179,58 @@ def test_fano8_large_class_pinned(fano8_fan):
     alpha = g.class_from_free([0, 6, -15])
     rep = cohomology_table(fano8_fan, [alpha])
     assert [e["dim"] for e in rep.per_degree] == [0, 0, 17511, 0, 0, 0, 0, 0, 0]
+
+
+def test_cohomology_table_binds_a_class_once(monkeypatch):
+    # one class, its nine p and its eight patterns share one lift; fano8
+    # parsed anew, so that no class is bound yet
+    fan = parse_fan((FANS_DIR / "blowup_p112236.fan").read_text())
+    g = fan_grading(fan)
+    lift, calls = grading.GradingGroup._particular_solution, []
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return lift(self, alpha)
+
+    monkeypatch.setattr(grading.GradingGroup, "_particular_solution", counted)
+    alpha = g.degree_of([1, 0, -1, 2, 0, 1, -1, 1])
+    cohomology_table(fan, [alpha])
+    assert calls == [alpha]
+
+
+@pytest.mark.parametrize("size", [2**41 + 3, 2**58, 2**70])
+def test_counts_past_int64_match_closed_forms(size):
+    # P^1: h^0(O(a)) = a + 1 and h^1(O(-a)) = a - 1
+    p1 = projective_space_fan(1)
+    g = fan_grading(p1)
+    assert sheaf_cohomology_dim(p1, g.degree_of([size, 0]), 0) == size + 1
+    assert sheaf_cohomology_dim(p1, g.degree_of([-size, 0]), 1) == size - 1
+    # P^2 x P^1 (Kunneth): h^0(O(b, a)) = C(b+2, 2) (a + 1) and
+    # h^1(O(b, -a)) = C(b+2, 2) (a - 1).  The P^1 coordinate is the walk's
+    # innermost level, so each fibre is one interval of about `size` points,
+    # and b = 20 makes the P^2 frontier wide enough for the numpy walk.  It
+    # runs in int64 for 2^41 + 3, and in Python ints for 2^58, whose
+    # right-hand sides fit int64 but whose interval lengths would overflow a
+    # chunk's sum, and for 2^70, whose right-hand sides do not fit
+    fan = product_fan(projective_space_fan(2), projective_space_fan(1))
+    g = fan_grading(fan)
+    b, sections = 20, comb(22, 2)
+    assert sheaf_cohomology_dim(fan, g.degree_of([b, 0, 0, size, 0]), 0) == sections * (size + 1)
+    assert sheaf_cohomology_dim(fan, g.degree_of([b, 0, 0, -size, 0]), 1) == sections * (size - 1)
+
+
+def test_fan_with_rows_past_int64_counts_exactly():
+    # the Hirzebruch surface F_a for a = 2^70: its rays, and so its
+    # Fourier-Motzkin rows, do not fit int64.  D1 and D3 are fibres of
+    # F_a -> P^1, so h^p(O(c D1)) = h^p(O(c D3)) = h^p(P^1, O(c)); c = 40
+    # and -40 are wide enough for the numpy walk
+    fan = Fan(2, ((1, 0), (0, 1), (-1, 2**70), (0, -1)), ((1, 2), (2, 3), (3, 4), (1, 4)))
+    g = fan_grading(fan)
+    for c in (-40, -2, 0, 3, 40):
+        want = [max(c + 1, 0), max(-c - 1, 0), 0]
+        for exponents in ([c, 0, 0, 0], [0, 0, c, 0]):
+            alpha = g.degree_of(exponents)
+            assert [sheaf_cohomology_dim(fan, alpha, p) for p in range(3)] == want
 
 
 def test_torsion_fan_dimensions():
