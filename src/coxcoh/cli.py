@@ -13,7 +13,7 @@ import sys
 
 from .fan import FanError, irrelevant_generators, parse_fan, validate_fan
 from .grading import GradingError, UnboundedRegionError
-from .homalg import HomalgError
+from .homalg import HomalgError, PresentedModule
 from .koszul import generates_unit_ideal, is_regular_sequence, self_duality_check
 from .localcoh import PatternComplexError, ext_limit_oracle
 from .ring import RingError
@@ -260,8 +260,6 @@ def _cmd_koszul_check(args):
     for p in levels:
         if not 0 <= p <= t:
             raise HomalgError("level %d out of range 0..%d" % (p, t))
-    from .homalg import PresentedModule
-
     module = PresentedModule.free(n)
     checks = [
         {"p": p, "self_dual": bool(self_duality_check(seq, module, p, args.box_radius))}

@@ -199,13 +199,13 @@ def validate_fan(fan):
     """Check simpliciality and the wall condition, and decide completeness
     exactly from the walls.  A fan whose rays repeat, or include one in no
     maximal cone, is not complete: parse_fan refuses both, and a Fan built
-    in code is held to the same rule here.  So is a ray with other than d
-    coordinates, a zero ray, a non-primitive ray (parse_fan's wording), and
-    a cone naming a ray index outside 1..n or holding other than d indices;
-    these are reported before any determinant is taken, and the report then
-    claims nothing (simplicial, complete and wall condition all false).  A
-    wall is keyed by its ascending indices, whatever order its cones list
-    them in.
+    in code is held to the same rule here.  So is a fan with no rays or no
+    maximal cones, a ray with other than d coordinates, a zero ray, a
+    non-primitive ray (parse_fan's wording), and a cone naming a ray index
+    outside 1..n or holding other than d indices; these are reported before
+    any determinant is taken, and the report then claims nothing
+    (simplicial, complete and wall condition all false).  A wall is keyed by
+    its ascending indices, whatever order its cones list them in.
 
     Proof of the completeness test.  Let the maximal cones be simplicial,
     let every wall (facet of a maximal cone) lie in exactly two maximal
@@ -237,6 +237,10 @@ def validate_fan(fan):
     """
     n, d = fan.n_rays, fan.dim
     messages = []
+    if not n:
+        messages.append("ray count must be positive")
+    if not fan.max_cones:
+        messages.append("cone count must be positive")
     for ri, ray in enumerate(fan.rays, start=1):
         if len(ray) != d:
             messages.append("ray %d %s has size %d, expected %d" % (ri, tuple(ray), len(ray), d))

@@ -6,8 +6,9 @@ relations are homogeneous, graded Hilbert functions over boxes of degrees
 are available and are the workhorse for comparing modules.
 
 Hom(R^p, R^k) is flattened to R^(p*k) column-major: the matrix unit sending
-e_j to e_i sits at flat index j*k + i.  Hom(M, N) is Ext^0(M, N).  Groebner
-work runs in grevlex, the groebner default: no result here depends on it.
+e_j to e_i sits at flat index j*k + i.  Hom(M, N) is Ext^0(M, N), that is
+ext_presentation(0, free_resolution(M), N).  Groebner work runs in grevlex,
+the groebner default: no result here depends on it.
 """
 
 from __future__ import annotations
@@ -235,15 +236,15 @@ def _basis_vectors(rank, n):
     return [FreeModuleElement.unit(rank, n, t) for t in range(rank)]
 
 
-def ext_presentation(i, m_module, n_module, resolution=None):
-    """Presentation of Ext^i(M, N): cohomology of Hom(resolution of M, N).
+def ext_presentation(i, res, n_module):
+    """Presentation of H^i Hom(F, N), where res holds the complex F of free
+    modules in FreeResolution form: Ext^i(M, N) when F resolves M.
 
     The fine grading is carried through the whole pipeline, so for monomial
     input the result lands in canonical degrees (see the limit oracle)."""
     if i < 0:
         raise HomalgError("negative cohomological index")
-    n = m_module.n
-    res = resolution if resolution is not None else free_resolution(m_module)
+    n = res.n
     big_l = res.length()
     k = n_module.ambient_rank
     if i > big_l or k == 0:

@@ -435,8 +435,8 @@ def ext_limit_oracle(fan, m, p, box_radius=2):
     within a box of radius r the stage-m values agree with the limit for
     m >= r, and the nonzero-degree sign patterns agree for every m >= 1.
 
-    The fan keeps the last stage's module and resolution, so asking for
-    every p of one stage resolves once; no Hilbert table is kept."""
+    The fan keeps the last stage's resolution, so asking for every p of one
+    stage resolves once; no Hilbert table is kept."""
     if m < 1:
         raise ValueError("stage m must be >= 1")
     n = fan.n_rays
@@ -444,9 +444,8 @@ def ext_limit_oracle(fan, m, p, box_radius=2):
     stage = fan.cache.get("ext_stage")
     if stage is None or stage[0] != m:
         module = bracket_power_module(irrelevant_generators(fan), n, m)
-        stage = fan.cache["ext_stage"] = (m, module, free_resolution(module))
-    _, module, res = stage
-    ext = ext_presentation(p, module, PresentedModule.free(n), resolution=res)
+        stage = fan.cache["ext_stage"] = (m, free_resolution(module))
+    ext = ext_presentation(p, stage[1], PresentedModule.free(n))
     return hilbert_function_box(ext, box)
 
 

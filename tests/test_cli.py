@@ -225,7 +225,8 @@ def test_cohomology_u_text_output(capsys):
 
 
 # SHA-256 of the --json output of each subcommand on each shipped fan, its
-# documents in order where it runs more than once (see cli_runs).  A change
+# documents in order where it runs more than once (see cli_runs); a key may
+# add options after the subcommand, as fano7's window edges do.  A change
 # to any of these documents must be deliberate: update the digest and say
 # why in CHANGES.md.  fano8 pins no ext-oracle or koszul-check: they take
 # 4 s and 6 s there.
@@ -245,6 +246,8 @@ CLI_DIGESTS = {
         "sheaf": "767c43955b95991f3e2432e82c0d2396b330899b12f830d14dddd384a88de47e",
         "ext-oracle": "c9aa63de3ea7da24fa9c6791587020d2e715fd10a35d0f3cedc8045f78648cc0",
         "koszul-check": "38e58a54086df84a4e0a5daeefbd3e2eded6f393533f05d9322c3910b1722a41",
+        "koszul-check --p 0": "6733cd5324557a9280e0eb4cdd099179fba2a8d73d782e8f2cbb0671bd9bc39f",
+        "koszul-check --p 10": "a5d83c5c4624fae293441231b724da32c8d7537bf26d2f1d542390400b28563f",
     },
     "p1.fan": {
         "validate": "d8ca557a81c811432bfaf1323baec6eccdee07e91c5f689b0fecda40c8a789f6",
@@ -286,10 +289,12 @@ SHEAF_DEGREES = {
 }
 
 
-def cli_runs(subcommand, name):
+def cli_runs(key, name):
     """The argument lists whose --json documents one digest pins: sheaf at
     every p of a few classes, ext-oracle at radius 1 and every p = 0..n,
-    koszul-check at level 1, and the rest on the fan alone."""
+    koszul-check at the level its key names (level 1 by default), and the
+    rest on the fan alone."""
+    subcommand, *options = key.split()
     path = str(FANS_DIR / name)
     if subcommand == "sheaf":
         return [[subcommand, path, "--degree=" + SHEAF_DEGREES[name], "--json"]]
@@ -299,7 +304,7 @@ def cli_runs(subcommand, name):
             [subcommand, path, "--box-radius", "1", "--p", str(p), "--json"] for p in range(n + 1)
         ]
     if subcommand == "koszul-check":
-        return [[subcommand, path, "--p", "1", "--json"]]
+        return [[subcommand, path, *(options or ["--p", "1"]), "--json"]]
     return [[subcommand, path, "--json"]]
 
 
@@ -309,13 +314,13 @@ def test_cli_digests_cover_every_shipped_fan():
 
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
 def test_cli_json_is_byte_identical(name, capsys):
-    for subcommand, digest in CLI_DIGESTS[name].items():
+    for key, digest in CLI_DIGESTS[name].items():
         outs = []
-        for argv in cli_runs(subcommand, name):
+        for argv in cli_runs(key, name):
             code, out, err = run_cli(capsys, *argv)
             assert code == 0 and err == "", argv
             outs.append(out)
-        assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest, subcommand
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest, key
 
 
 # SHA-256 of `cohomology-u --json` on generated fans, P^d after k stellar

@@ -173,6 +173,24 @@ def test_fan_built_in_code_with_a_bad_ray_is_refused(rays, message):
         cohomology_of_U(fan)
 
 
+@pytest.mark.parametrize(
+    "fan, messages",
+    [
+        (Fan(1, (), ()), ["ray count must be positive", "cone count must be positive"]),
+        (Fan(2, (), ()), ["ray count must be positive", "cone count must be positive"]),
+        (Fan(1, ((1,), (-1,)), ()), ["cone count must be positive"]),
+    ],
+)
+def test_fan_built_in_code_with_no_rays_or_no_cones_is_refused(fan, messages):
+    # parse_fan refuses a zero ray or cone count; an empty Fan built in
+    # code used to raise a bare IndexError from validate_fan
+    rep = validate_fan(fan)
+    assert not (rep.simplicial or rep.complete or rep.wall_condition)
+    assert list(rep.messages) == messages
+    with pytest.raises(FanError, match="fan failed validation"):
+        cohomology_of_U(fan)
+
+
 def test_fan_built_in_code_with_cones_in_any_index_order_is_valid(fano8_fan):
     # a wall is keyed by its ascending indices, so two cones that list its
     # rays in different orders still share it

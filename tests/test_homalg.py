@@ -81,10 +81,10 @@ def test_hom_examples():
     n = 1
     R = PresentedModule.free(n)
     M = quotient(n, "x1")
-    h1 = ext_presentation(0, R, M)
+    h1 = ext_presentation(0, free_resolution(R), M)
     assert hilbert_function_box(h1, [(0, 3)]) == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
-    assert presented_is_zero(ext_presentation(0, M, R))
-    h3 = ext_presentation(0, M, M)
+    assert presented_is_zero(ext_presentation(0, free_resolution(M), R))
+    h3 = ext_presentation(0, free_resolution(M), M)
     assert hilbert_function_box(h3, [(0, 2)]) == {(0,): 1, (1,): 0, (2,): 0}
 
 
@@ -92,7 +92,7 @@ def test_hom_of_free_modules():
     n = 2
     F2 = PresentedModule.free(n, 2)
     M = quotient(n, "x1")
-    h = ext_presentation(0, F2, M)
+    h = ext_presentation(0, free_resolution(F2), M)
     # Hom(R^2, R/x) = (R/x)^2: dimension 2 at each power of x2
     hf = hilbert_function_box(h, [(0, 1), (0, 1)])
     assert hf == {(0, 0): 2, (0, 1): 2, (1, 0): 0, (1, 1): 0}
@@ -102,11 +102,11 @@ def test_ext_examples():
     n = 1
     R = PresentedModule.free(n)
     M = quotient(n, "x1")
-    assert presented_is_zero(ext_presentation(0, M, R))
-    e1 = ext_presentation(1, M, R)
+    assert presented_is_zero(ext_presentation(0, free_resolution(M), R))
+    e1 = ext_presentation(1, free_resolution(M), R)
     assert hilbert_function_box(e1, [(-2, 1)]) == {(-2,): 0, (-1,): 1, (0,): 0, (1,): 0}
-    assert presented_is_zero(ext_presentation(2, M, R))
-    assert ext_presentation(5, M, R).ambient_rank == 0
+    assert presented_is_zero(ext_presentation(2, free_resolution(M), R))
+    assert ext_presentation(5, free_resolution(M), R).ambient_rank == 0
 
 
 def test_ext0_equals_hom_hilbert():
@@ -134,7 +134,7 @@ def test_ext0_equals_hom_hilbert():
             )
             for a in product(*(range(lo, hi + 1) for lo, hi in box))
         }
-        assert hilbert_function_box(ext_presentation(0, M, N), box) == expected
+        assert hilbert_function_box(ext_presentation(0, free_resolution(M), N), box) == expected
 
 
 def test_euler_characteristic_against_dual_complex():
@@ -146,7 +146,7 @@ def test_euler_characteristic_against_dual_complex():
     box = box_around(n, 2)
     lhs = {}
     for i in range(res.length() + 1):
-        hf = hilbert_function_box(ext_presentation(i, M, R, resolution=res), box)
+        hf = hilbert_function_box(ext_presentation(i, res, R), box)
         for d, v in hf.items():
             lhs[d] = lhs.get(d, 0) + (-1) ** i * v
     rhs = {}
@@ -164,7 +164,7 @@ def test_ext_vanishes_above_resolution_length():
     R = PresentedModule.free(n)
     res = free_resolution(M)
     for i in range(res.length() + 1, res.length() + 3):
-        assert presented_is_zero(ext_presentation(i, M, R, resolution=res))
+        assert presented_is_zero(ext_presentation(i, res, R))
 
 
 def test_hilbert_function_examples():

@@ -1,5 +1,6 @@
 import random
 
+from coxcoh.fan import irrelevant_generators
 from coxcoh.homalg import (
     PresentedModule,
     box_around,
@@ -134,23 +135,37 @@ def test_differentials_compose_to_zero():
         M = PresentedModule.free(n)
         complex_ = KoszulComplex(seq, M)
         for p in range(2, d + 1):
-            inner = complex_.boundary_columns(p)
-            outer = complex_.boundary_columns(p - 1)
+            inner = complex_.boundary_columns(p, complex_.rank)
+            outer = complex_.boundary_columns(p - 1, complex_.rank)
             for col in inner:
                 acc = FreeModuleElement(complex_.level_rank(p - 2), n)
                 for j, entry in enumerate(col.entries):
                     if not entry.is_zero():
                         acc = acc + outer[j].poly_mul(entry)
                 assert acc.is_zero()
-        for p in range(0, d - 1):
-            up = complex_.coboundary_columns(p)
-            upup = complex_.coboundary_columns(p + 1)
-            for col in up:
-                acc = FreeModuleElement(complex_.level_rank(p + 2), n)
-                for j, entry in enumerate(col.entries):
-                    if not entry.is_zero():
-                        acc = acc + upup[j].poly_mul(entry)
-                assert acc.is_zero()
+
+
+def test_koszul_builds_only_its_window(fano8_fan, monkeypatch):
+    # fano8's irrelevant ideal has 18 generators, so the whole complex has
+    # 2^18 basis elements: H_p and H^p may build only d_p and d_(p+1)
+    n = fano8_fan.n_rays
+    seq = [g.as_poly(n) for g in irrelevant_generators(fano8_fan)]
+    assert len(seq) == 18
+    original = KoszulComplex.boundary_columns
+    asked = []
+
+    def recording(self, p, rank):
+        assert p in (level, level + 1), (route.__name__, level, p)
+        asked.append(p)
+        return original(self, p, rank)
+
+    monkeypatch.setattr(KoszulComplex, "boundary_columns", recording)
+    complex_ = KoszulComplex(seq, PresentedModule.free(n))
+    for level in (0, 1, 17, 18):
+        for route in (complex_.homology, complex_.cohomology):
+            asked.clear()
+            route(level)
+            assert asked, (route.__name__, level)
 
 
 def test_term_counts():
