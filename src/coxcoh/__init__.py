@@ -36,6 +36,7 @@ from .groebner import (
 )
 from .homalg import (
     FreeResolution,
+    HomStrands,
     PresentedModule,
     box_around,
     ext_presentation,

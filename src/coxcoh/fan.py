@@ -33,8 +33,9 @@ class Fan:
     """A complete simplicial fan given by its rays and maximal cones.
 
     `cache` holds the state derived from this fan (its grading, its
-    validated cohomology report, the last Ext oracle stage); it lives and
-    dies with the object, and an equal Fan built anew starts empty."""
+    validated cohomology report, the Ext oracle's stage-1 resolution with
+    its strand ranks); it lives and dies with the object, and an equal Fan
+    built anew starts empty."""
 
     dim: int
     rays: tuple  # tuple of tuples of ints, primitive generators

@@ -7,8 +7,10 @@ are available and are the workhorse for comparing modules.
 
 Hom(R^p, R^k) is flattened to R^(p*k) column-major: the matrix unit sending
 e_j to e_i sits at flat index j*k + i.  Hom(M, N) is Ext^0(M, N), that is
-ext_presentation(0, free_resolution(M), N).  Groebner work runs in grevlex,
-the groebner default: no result here depends on it.
+ext_presentation(0, free_resolution(M), N).  When N = S and F has monomial
+entries, HomStrands reads H^p Hom(F, S) off each fine degree without a
+presentation.  Groebner work runs in grevlex, the groebner default: no
+result here depends on it.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def ext_presentation(i, res, n_module):
     n = res.n
     big_l = res.length()
     k = n_module.ambient_rank
-    if i > big_l or k == 0:
+    if i > big_l or k == 0 or res.ranks[i] == 0:
         return PresentedModule(0, n, [], [])
     beta = minimal_generators(n_module.relations, n_module.shifts)
     graded = (res.shifts[0] is not None) and n_module.is_graded()
@@ -255,7 +257,7 @@ def ext_presentation(i, res, n_module):
     level_shifts = res.shifts[i] if res.shifts[i] is not None else [(0,) * n] * res.ranks[i]
     flat = _flat_shifts(n_shifts, level_shifts) if graded else None
 
-    if i < big_l:
+    if i < big_l and res.ranks[i + 1]:
         front = _precompose_columns(res.differentials[i], res.ranks[i], k, n)
         modulo = _postcompose_columns(beta, res.ranks[i + 1], k, n)
         kern = kernel_of_quotient_map(front, modulo)
@@ -315,6 +317,40 @@ def _threshold_bits(box, thresholds):
     return acc.reshape(int(np.prod(acc.shape[:-1])), acc.shape[-1])
 
 
+def _box_table(box, thresholds, evaluate):
+    """{degree: evaluate(*active)} over every degree of the box, in product
+    order and zeros included.
+
+    thresholds is a list of (k, n) int arrays; in a degree d, array g is
+    active at the indices i with d >= thresholds[g][i] in every coordinate,
+    and active[g] is the tuple of those indices.  The activity is packed
+    into one bit row per degree, and evaluate runs once per distinct row."""
+    check_box_size(box)
+    degrees = list(product(*(range(lo, hi + 1) for lo, hi in box)))
+    if not degrees:
+        return {}
+    tables = [_threshold_bits(box, t) for t in thresholds]
+    if not sum(table.shape[1] for table in tables):
+        return dict.fromkeys(degrees, evaluate(*([()] * len(thresholds))))
+    bits = np.ascontiguousarray(np.hstack(tables))
+    # one opaque value per row: a 1-D unique sorts these much faster than rows
+    rows = bits.view(np.dtype((np.void, bits.shape[1]))).reshape(-1)
+    keys, inverse = np.unique(rows, return_inverse=True)
+    del tables, bits, rows
+    values = []
+    for key in keys:
+        key = np.frombuffer(key.tobytes(), dtype=np.uint8)
+        active, start = [], 0
+        for t in thresholds:
+            width = (len(t) + 7) // 8
+            flags = np.unpackbits(key[start:start + width], count=len(t))
+            active.append(tuple(np.flatnonzero(flags).tolist()))
+            start += width
+        values.append(evaluate(*active))
+    values = np.array(values, dtype=np.int64)[inverse.reshape(-1)]
+    return dict(zip(degrees, values.tolist()))
+
+
 def hilbert_function_box(module, box):
     """Exact dimensions of the fine-graded pieces over all degrees in the box.
 
@@ -330,39 +366,89 @@ def hilbert_function_box(module, box):
     n = module.n
     if len(box) != n:
         raise HomalgError("box has wrong dimension")
-    check_box_size(box)
-    degrees = list(product(*(range(lo, hi + 1) for lo, hi in box)))
-    r = module.ambient_rank
-    if r == 0 or not degrees:
-        return dict.fromkeys(degrees, 0)
-    shifts = np.array(module.shifts, dtype=np.int64).reshape(r, n)
-    rels = module.relations
-    m = len(rels)
-    slot_bits = _threshold_bits(box, shifts)
-    rel_degs = np.array(module.relation_degrees(), dtype=np.int64).reshape(m, n)
-    act_bits = _threshold_bits(box, rel_degs)
-    width = slot_bits.shape[1]
-    bits = np.ascontiguousarray(np.hstack([slot_bits, act_bits]))
-    del slot_bits, act_bits
-    # one opaque value per row: a 1-D unique sorts these much faster than rows
-    rows = bits.view(np.dtype((np.void, bits.shape[1]))).reshape(-1)
-    keys, inverse = np.unique(rows, return_inverse=True)
-    del bits, rows
+    shifts = np.array(module.shifts, dtype=np.int64).reshape(-1, n)
+    rel_degs = np.array(module.relation_degrees(), dtype=np.int64).reshape(-1, n)
     # a homogeneous relation has one term per nonzero entry i, sitting at
     # slot i in every degree where the relation is active (slot i is then
     # at or below that degree too)
     columns = []
-    for rel in rels:
+    for rel in module.relations:
         col = {}
         for i, entry in enumerate(rel.entries):
             for c in entry.terms.values():
                 col[i] = int(c) if c.denominator == 1 else c
         columns.append(col)
-    dims = []
-    for key in keys:
-        key = np.frombuffer(key.tobytes(), dtype=np.uint8)
-        nslots = int(np.unpackbits(key[:width], count=r).sum())
-        active = np.flatnonzero(np.unpackbits(key[width:], count=m))
-        dims.append(nslots - sparse_rank_exact(columns[j] for j in active.tolist()))
-    values = np.array(dims, dtype=np.int64)[inverse.reshape(-1)]
-    return dict(zip(degrees, values.tolist()))
+
+    def dimension(slots, active):
+        return len(slots) - sparse_rank_exact(columns[j] for j in active)
+
+    return _box_table(box, [shifts, rel_degs], dimension)
+
+
+class HomStrands:
+    """H^p Hom(F^[m], S) at every fine degree, read off the scalar strands of
+    a fine-graded complex F of free modules over S = k[x_1..x_n], where
+    F^[m] is F pulled back along x_i -> x_i^m.
+
+    Every entry of d_k: F_k -> F_(k-1) must be a single term c x^(s_l - s_j)
+    (generator e_l of shift s_l to e_j of shift s_j), as in any fine-graded
+    map; another entry raises HomalgError.  `rows[k]` holds the coefficient
+    matrix D_k by rows.  In degree a the complex is scalar on the active
+    generators A_k = {j : a + m s_j >= 0}, and
+        dim H^p_a = |A_p| - rank D_(p+1)[A_p, :] - rank D_p[A_(p-1), :]
+    (ext_limit_oracle holds the proof).  Each distinct (A_(p-1), A_p) pair
+    is evaluated once, and the ranks are kept by (level, active set): the
+    kernel rank at level p is the image rank at level p + 1, and the same
+    sets recur across stages."""
+
+    def __init__(self, res):
+        if any(s is None for s in res.shifts):
+            raise HomalgError("ungraded resolution")
+        self.resolution = res
+        self.n = n = res.n
+        self.shifts = [np.array(s, dtype=np.int64).reshape(len(s), n) for s in res.shifts]
+        # rows[k][j] = {l: c_jl}, row j of the coefficient matrix D_k of d_k
+        self.rows = [None]
+        for k, columns in enumerate(res.differentials, start=1):
+            rows = [{} for _ in range(res.ranks[k - 1])]
+            for l, col in enumerate(columns):
+                for j, entry in enumerate(col.entries):
+                    if entry.is_zero():
+                        continue
+                    exponent = tuple(a - b for a, b in zip(res.shifts[k][l], res.shifts[k - 1][j]))
+                    if list(entry.terms) != [exponent]:
+                        raise HomalgError(
+                            "entry (%d, %d) of d_%d is not a single term of degree %s"
+                            % (j, l, k, exponent)
+                        )
+                    c = entry.terms[exponent]
+                    rows[j][l] = int(c) if c.denominator == 1 else c
+            self.rows.append(rows)
+        self.ranks = {}  # (level k, active rows of D_k) -> rank
+
+    def _rank(self, k, active):
+        if not active or not 0 < k < len(self.rows):
+            return 0
+        key = (k, active)
+        rank = self.ranks.get(key)
+        if rank is None:
+            rows = self.rows[k]
+            rank = self.ranks[key] = sparse_rank_exact(rows[j] for j in active)
+        return rank
+
+    def hilbert_box(self, p, m, box):
+        """{degree: dim H^p Hom(F^[m], S)} over every degree of the box."""
+        if p < 0:
+            raise HomalgError("negative cohomological index")
+        if m < 1:
+            raise HomalgError("stage m must be >= 1")
+        if len(box) != self.n:
+            raise HomalgError("box has wrong dimension")
+        # level k's generators e_j are active in degree a iff a >= -m s_j
+        none = np.zeros((0, self.n), dtype=np.int64)
+        levels = [-m * self.shifts[k] if 0 <= k < len(self.shifts) else none for k in (p - 1, p)]
+
+        def dimension(prev, cur):
+            return len(cur) - self._rank(p + 1, cur) - self._rank(p, prev)
+
+        return _box_table(box, levels, dimension)

@@ -35,13 +35,7 @@ import numpy as np
 
 from .fan import SquarefreeMonomial, irrelevant_generators, require_valid
 from .grading import ray_indices
-from .homalg import (
-    PresentedModule,
-    box_around,
-    ext_presentation,
-    free_resolution,
-    hilbert_function_box,
-)
+from .homalg import HomStrands, PresentedModule, box_around, free_resolution
 from .kernels import popcounts, surviving_masks
 from .linalg import sparse_rank_exact
 from .ring import Poly
@@ -424,29 +418,52 @@ def bracket_power_module(gens, n, m):
 def ext_limit_oracle(fan, m, p, box_radius=2):
     """Hilbert function of Ext^p(S/<gens^m>, S) over the box
     [-box_radius, box_radius]^n, where gens generate the fan's irrelevant
-    ideal; `box_around` refuses an oversized box before anything resolves.
+    ideal B; `box_around` refuses an oversized box before anything
+    resolves, and a fan that fails validation raises FanError.
+
+    Every stage is read off one resolution F of S/B, at stage 1, by
+    HomStrands.  Proof.  The map x_i -> x_i^m is flat, so F pulled back
+    along it, F^[m], resolves S/B^[m]: the shifts become m s_j and the
+    coefficients stay.  Let e_j be a generator of F_k of shift s_j.  An
+    entry of the fine-graded map d_k that sends e_l to e_j has degree
+    s_l - s_j, so it is a single term c_jl x^(s_l - s_j) with
+    s_l - s_j >= 0 (a fine-graded polynomial has one term per degree), and
+    in F^[m] it is c_jl x^(m (s_l - s_j)).  The dual basis vector e_j* of
+    Hom(F_k, S) sits in degree -m s_j, so in degree a the piece
+    Hom(F_k, S)_a has the basis x^(a + m s_j) e_j* over the active
+    generators A_k = {j : a + m s_j >= 0}.  The coboundary
+    psi -> psi o d_(k+1) sends x^(a + m s_j) e_j* to
+    sum_l c_jl x^(a + m s_l) e_l*, so in degree a the complex is scalar,
+    with maps the coefficient submatrices D_(k+1)[A_k, A_(k+1)].  A nonzero
+    c_jl with j active has a + m s_l >= a + m s_j >= 0, so its column l is
+    active too, and the rows alone decide the rank: it is that of
+    D_(k+1)[A_k, :].  Hence
+        dim Ext^p(S/B^[m], S)_a
+            = |A_p| - rank D_(p+1)[A_p, :] - rank D_p[A_(p-1), :],
+    with D_0 and every D past the last level zero.
 
     Degree convention: the fine grading is tracked through the resolution
     and its dual, so a class appears at its limit degree directly: at stage
     m the degree of a class equals its naive coordinate-ring degree minus m
     times the degree of the localizing monomial of its cone, and that shift
-    is exactly what the resolution twists contribute.  Stabilized values can
+    is exactly what the twists m s_j contribute.  Stabilized values can
     therefore be compared with pattern_cohomology with no further shifting:
     within a box of radius r the stage-m values agree with the limit for
     m >= r, and the nonzero-degree sign patterns agree for every m >= 1.
 
-    The fan keeps the last stage's resolution, so asking for every p of one
-    stage resolves once; no Hilbert table is kept."""
+    The fan keeps the stage-1 resolution, its coefficient rows and the
+    ranks taken so far, so every (m, p) after the first resolves nothing;
+    no Hilbert table is kept."""
     if m < 1:
         raise ValueError("stage m must be >= 1")
     n = fan.n_rays
     box = box_around(n, box_radius)
-    stage = fan.cache.get("ext_stage")
-    if stage is None or stage[0] != m:
-        module = bracket_power_module(irrelevant_generators(fan), n, m)
-        stage = fan.cache["ext_stage"] = (m, free_resolution(module))
-    ext = ext_presentation(p, stage[1], PresentedModule.free(n))
-    return hilbert_function_box(ext, box)
+    strands = fan.cache.get("ext_strands")
+    if strands is None:
+        require_valid(fan)
+        module = bracket_power_module(irrelevant_generators(fan), n, 1)
+        strands = fan.cache["ext_strands"] = HomStrands(free_resolution(module))
+    return strands.hilbert_box(p, m, box)
 
 
 def negative_support(degree):

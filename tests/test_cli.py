@@ -190,6 +190,15 @@ def test_pseudo_fan_cohomology_u_is_domain_error(tmp_path, capsys):
     assert json.loads(out)["complete"] is False
 
 
+def test_pseudo_fan_ext_oracle_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "pseudo.fan"
+    path.write_text(PSEUDO_FAN_TEXT)
+    code, out, err = run_cli(capsys, "ext-oracle", str(path), "--p", "2", "--json")
+    assert code == 1
+    assert out == ""
+    assert "fan failed validation" in err and "lies in 2 max cones" in err
+
+
 def test_koszul_check_p1(capsys):
     code, out, _ = run_cli(capsys, "koszul-check", str(FANS_DIR / "p1.fan"), "--json")
     assert code == 0
@@ -226,10 +235,10 @@ def test_cohomology_u_text_output(capsys):
 
 # SHA-256 of the --json output of each subcommand on each shipped fan, its
 # documents in order where it runs more than once (see cli_runs); a key may
-# add options after the subcommand, as fano7's window edges do.  A change
-# to any of these documents must be deliberate: update the digest and say
-# why in CHANGES.md.  fano8 pins no ext-oracle or koszul-check: they take
-# 4 s and 6 s there.
+# add options after the subcommand, as fano7's window edges and the
+# ext-oracle stages past 1 do.  A change to any of these documents must be
+# deliberate: update the digest and say why in CHANGES.md.  fano8 pins no
+# ext-oracle or koszul-check: they take 4 s and 6 s there.
 CLI_DIGESTS = {
     "blowup_p112236.fan": {
         "validate": "6b51aa3567f19c9cb7ed8ad691e8e573b578548363179324859c49d08c1e2184",
@@ -245,6 +254,7 @@ CLI_DIGESTS = {
         "cohomology-u": "7df3d927ca7a189290d70381a45c17b8cf946bc0d9fdc11cf148ab5fac4a9bab",
         "sheaf": "767c43955b95991f3e2432e82c0d2396b330899b12f830d14dddd384a88de47e",
         "ext-oracle": "c9aa63de3ea7da24fa9c6791587020d2e715fd10a35d0f3cedc8045f78648cc0",
+        "ext-oracle --m 2": "c265ea5c1d9d4b931a32f2a6cb122801bb7b4b2ce035cb69892e30ac6d62d772",
         "koszul-check": "38e58a54086df84a4e0a5daeefbd3e2eded6f393533f05d9322c3910b1722a41",
         "koszul-check --p 0": "6733cd5324557a9280e0eb4cdd099179fba2a8d73d782e8f2cbb0671bd9bc39f",
         "koszul-check --p 10": "a5d83c5c4624fae293441231b724da32c8d7537bf26d2f1d542390400b28563f",
@@ -265,6 +275,8 @@ CLI_DIGESTS = {
         "cohomology-u": "82245f94446305fcf42f6d2b9dca1157dcb4ad47609ab5ad563d866a82fdd22b",
         "sheaf": "66aed2251d441d6cafa6d4161b92a317ab1ca2dc8f4c8555fd1d5e05f3fb01e8",
         "ext-oracle": "591ce07ca8e9b10b35949864ecb66a4fc05871904bbbd3a80063292692a43406",
+        "ext-oracle --m 2 --box-radius 2": "fcf28e8612fd4f3484c735353b0a52dcde00ca5513cd1e3e4f0400564e326377",
+        "ext-oracle --m 3 --box-radius 2": "99c5563b9b10fed4ba897272d8d16cb6cebcd36a6e7fb4cc2246350708784b27",
         "koszul-check": "72aebe72bf82fa915e6331fc6569c809c731dc801fa0e7ec939aa21c1ca51cfc",
     },
     "p2.fan": {
@@ -274,6 +286,8 @@ CLI_DIGESTS = {
         "cohomology-u": "53122d27ebe832b7d6db6c624f4e5292a249f79818e41b58782d0b49549dd5c5",
         "sheaf": "e4005a7fdee9dfb0e83f02fe29bfae2257ee4270952308f39945f416771b7821",
         "ext-oracle": "591ce07ca8e9b10b35949864ecb66a4fc05871904bbbd3a80063292692a43406",
+        "ext-oracle --m 2 --box-radius 2": "fcf28e8612fd4f3484c735353b0a52dcde00ca5513cd1e3e4f0400564e326377",
+        "ext-oracle --m 3 --box-radius 2": "99c5563b9b10fed4ba897272d8d16cb6cebcd36a6e7fb4cc2246350708784b27",
         "koszul-check": "72aebe72bf82fa915e6331fc6569c809c731dc801fa0e7ec939aa21c1ca51cfc",
     },
 }
@@ -291,9 +305,10 @@ SHEAF_DEGREES = {
 
 def cli_runs(key, name):
     """The argument lists whose --json documents one digest pins: sheaf at
-    every p of a few classes, ext-oracle at radius 1 and every p = 0..n,
-    koszul-check at the level its key names (level 1 by default), and the
-    rest on the fan alone."""
+    every p of a few classes, ext-oracle at every p = 0..n, at radius 1 and
+    stage 1 unless its key's options say otherwise (argparse keeps the last
+    --box-radius), koszul-check at the level its key names (level 1 by
+    default), and the rest on the fan alone."""
     subcommand, *options = key.split()
     path = str(FANS_DIR / name)
     if subcommand == "sheaf":
@@ -301,7 +316,8 @@ def cli_runs(key, name):
     if subcommand == "ext-oracle":
         n = parse_fan((FANS_DIR / name).read_text()).n_rays
         return [
-            [subcommand, path, "--box-radius", "1", "--p", str(p), "--json"] for p in range(n + 1)
+            [subcommand, path, "--box-radius", "1", "--p", str(p), "--json", *options]
+            for p in range(n + 1)
         ]
     if subcommand == "koszul-check":
         return [[subcommand, path, *(options or ["--p", "1"]), "--json"]]

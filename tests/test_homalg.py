@@ -5,7 +5,9 @@ import pytest
 
 from coxcoh.fan import irrelevant_generators
 from coxcoh.homalg import (
+    FreeResolution,
     HomalgError,
+    HomStrands,
     PresentedModule,
     box_around,
     ext_presentation,
@@ -107,6 +109,49 @@ def test_ext_examples():
     assert hilbert_function_box(e1, [(-2, 1)]) == {(-2,): 0, (-1,): 1, (0,): 0, (1,): 0}
     assert presented_is_zero(ext_presentation(2, free_resolution(M), R))
     assert ext_presentation(5, free_resolution(M), R).ambient_rank == 0
+
+
+def test_ext_of_a_complex_with_a_level_of_rank_zero():
+    # F = S(-1) -> 0: H^0 Hom(F, S) is S(1), free on a class of degree -1
+    res = FreeResolution(ranks=[1, 0], differentials=[[]], shifts=[[(1,)], []], n=1)
+    R = PresentedModule.free(1)
+    box = [(-2, 1)]
+    expected = {(-2,): 0, (-1,): 1, (0,): 1, (1,): 1}
+    assert hilbert_function_box(ext_presentation(0, res, R), box) == expected
+    assert presented_is_zero(ext_presentation(1, res, R))
+    strands = HomStrands(res)
+    assert strands.hilbert_box(0, 1, box) == expected
+    assert not any(strands.hilbert_box(1, 1, box).values())
+
+
+def test_hom_strands_match_the_resolution_of_each_bracket_power():
+    # Ext^p(S/I^[m], S) from the strands of one resolution of S/I equals
+    # the Ext presentation of a resolution of S/I^[m] itself, for monomial
+    # ideals I that need not be squarefree
+    rng = random.Random(17)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        gens = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))}
+        gens = [e for e in gens if any(e)] or [(1,) * n]
+        strands = HomStrands(free_resolution(
+            PresentedModule.quotient_by([Poly.monomial(n, e) for e in gens], n)
+        ))
+        box = box_around(n, 2)
+        for m in (1, 2):
+            res = free_resolution(PresentedModule.quotient_by(
+                [Poly.monomial(n, [m * x for x in e]) for e in gens], n
+            ))
+            for p in range(res.length() + 2):
+                direct = hilbert_function_box(ext_presentation(p, res, PresentedModule.free(n)), box)
+                assert strands.hilbert_box(p, m, box) == direct, (gens, m, p)
+
+
+def test_hom_strands_refuse_an_entry_of_more_than_one_term():
+    n = 2
+    d1 = FreeModuleElement(1, n, [parse_poly("x1 + x2", n)])
+    res = FreeResolution(ranks=[1, 1], differentials=[[d1]], shifts=[[(0, 0)], [(1, 0)]], n=n)
+    with pytest.raises(HomalgError, match="not a single term"):
+        HomStrands(res)
 
 
 def test_ext0_equals_hom_hilbert():

@@ -9,7 +9,14 @@ import coxcoh.fan as fan_module
 import coxcoh.localcoh as localcoh
 from coxcoh.fan import Fan, FanError, FanReport, irrelevant_generators, parse_fan
 from coxcoh.fans import projective_space_fan
-from coxcoh.homalg import HomalgError, PresentedModule, hilbert_function_box, box_around
+from coxcoh.homalg import (
+    HomalgError,
+    PresentedModule,
+    box_around,
+    ext_presentation,
+    free_resolution,
+    hilbert_function_box,
+)
 from coxcoh.localcoh import (
     MAX_TABLE_RAYS,
     PatternComplexError,
@@ -158,26 +165,55 @@ def test_ext_oracle_fano7(fano7_fan):
     assert hf2 == hilbert_function_box(expected, box_around(n, 1))
 
 
-def test_ext_oracle_keeps_one_stage_and_frees_it_with_the_fan(monkeypatch):
-    resolutions = []
+def test_ext_oracle_resolves_stage_1_once_and_frees_it_with_the_fan(monkeypatch):
+    resolved, resolutions = [], []
     original = localcoh.free_resolution
 
     def tracked(module, *args, **kwargs):
         res = original(module, *args, **kwargs)
+        resolved.append(module)
         resolutions.append(weakref.ref(res))
         return res
 
     monkeypatch.setattr(localcoh, "free_resolution", tracked)
     fan = projective_space_fan(2)
-    for p in range(4):
-        ext_limit_oracle(fan, 1, p, box_radius=1)
-    assert len(resolutions) == 1  # every p of one stage shares its resolution
-    ext_limit_oracle(fan, 2, 3, box_radius=1)
-    gc.collect()
-    assert len(resolutions) == 2 and resolutions[0]() is None  # only the last stage stays
+    for m in (1, 2, 3):
+        for p in range(4):
+            ext_limit_oracle(fan, m, p, box_radius=1)
+    # one resolution of S/B itself serves every stage and every p
+    assert resolved == [bracket_power_module(irrelevant_generators(fan), 3, 1)]
     del fan
     gc.collect()
-    assert resolutions[1]() is None
+    assert resolutions[0]() is None
+
+
+def test_ext_oracle_strands_match_the_direct_stage_m_route(p2_fan, p112_fan, fano7_fan):
+    # the test oracle for every stage past 1: resolve S/B^[m] itself and
+    # present Ext^p(S/B^[m], S), which the strands of stage 1 must match
+    for fan, m, radius in (
+        (p2_fan, 2, 2), (p2_fan, 3, 2), (p112_fan, 2, 2), (p112_fan, 3, 2), (fano7_fan, 2, 1),
+    ):
+        n = fan.n_rays
+        res = free_resolution(bracket_power_module(irrelevant_generators(fan), n, m))
+        box = box_around(n, radius)
+        for p in range(n + 2):
+            direct = hilbert_function_box(ext_presentation(p, res, PresentedModule.free(n)), box)
+            assert ext_limit_oracle(fan, m, p, box_radius=radius) == direct, (fan.summary(), m, p)
+
+
+def test_ext_oracle_refuses_a_fan_that_fails_validation(monkeypatch):
+    def no_resolution(*args, **kwargs):
+        raise AssertionError("resolved an invalid fan")
+
+    monkeypatch.setattr(localcoh, "free_resolution", no_resolution)
+    fan = parse_fan(PSEUDO_FAN_TEXT)
+    with pytest.raises(FanError, match="fan failed validation"):
+        ext_limit_oracle(fan, 1, 2, box_radius=1)
+
+
+def test_ext_oracle_negative_index():
+    with pytest.raises(HomalgError, match="negative cohomological index"):
+        ext_limit_oracle(projective_space_fan(1), 1, -1, box_radius=1)
 
 
 def test_ext_oracle_refuses_oversized_box_before_resolving(monkeypatch):
